@@ -25,18 +25,14 @@ namespace tablegan {
 namespace {
 
 // --- Per-backend kernel benches (BENCH_simd_kernels.json). Arg(0)
-// selects the backend (0 = scalar, 1 = avx2, 2 = avx2fma); runs are
+// selects the backend (0 = scalar, 1 = avx2); runs are
 // single-threaded so items_per_second reads directly as FLOP/s of the
 // serial kernel, and the avx2/scalar ratio is the SIMD speedup the
 // dispatch layer buys. Hosts without AVX2 report the vector rows as
 // skipped instead of failing.
 
 const kernels::Backend* BenchBackend(int which) {
-  switch (which) {
-    case 0: return &kernels::Scalar();
-    case 1: return kernels::Avx2(/*fma=*/false);
-    default: return kernels::Avx2(/*fma=*/true);
-  }
+  return which == 0 ? &kernels::Scalar() : kernels::Avx2();
 }
 
 // Overrides dispatch for the duration of one benchmark run.
@@ -70,7 +66,7 @@ void BM_GemmBackend(benchmark::State& state) {
   state.SetLabel(backend->name);
 }
 BENCHMARK(BM_GemmBackend)
-    ->ArgsProduct({{0, 1, 2}, {64, 128, 256}})
+    ->ArgsProduct({{0, 1}, {64, 128, 256}})
     ->UseRealTime();
 
 void BM_GemmNtBackend(benchmark::State& state) {
@@ -97,7 +93,7 @@ void BM_GemmNtBackend(benchmark::State& state) {
   state.SetLabel(backend->name);
 }
 BENCHMARK(BM_GemmNtBackend)
-    ->ArgsProduct({{0, 1, 2}, {128, 256}})
+    ->ArgsProduct({{0, 1}, {128, 256}})
     ->UseRealTime();
 
 void BM_GemmTnBackend(benchmark::State& state) {
@@ -124,7 +120,7 @@ void BM_GemmTnBackend(benchmark::State& state) {
   state.SetLabel(backend->name);
 }
 BENCHMARK(BM_GemmTnBackend)
-    ->ArgsProduct({{0, 1, 2}, {128, 256}})
+    ->ArgsProduct({{0, 1}, {128, 256}})
     ->UseRealTime();
 
 void BM_ConvForwardBackend(benchmark::State& state) {
@@ -148,27 +144,7 @@ void BM_ConvForwardBackend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
   state.SetLabel(backend->name);
 }
-BENCHMARK(BM_ConvForwardBackend)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
-
-void BM_ActivationBackend(benchmark::State& state) {
-  const kernels::Backend* backend =
-      BenchBackend(static_cast<int>(state.range(0)));
-  if (backend == nullptr) {
-    state.SkipWithError("AVX2 backend unavailable on this host");
-    return;
-  }
-  const int64_t n = 1 << 16;
-  Rng rng(5);
-  Tensor x = Tensor::Uniform({n}, -1, 1, &rng);
-  Tensor y({n});
-  for (auto _ : state) {
-    backend->leaky_relu(n, 0.2f, x.data(), y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(backend->name);
-}
-BENCHMARK(BM_ActivationBackend)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ConvForwardBackend)->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<int64_t>(state.range(0));

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <thread>
 
+#include "common/args.h"
+#include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace tablegan {
@@ -31,10 +33,17 @@ struct RegionGuard {
   ~RegionGuard() { --tl_region_depth; }
 };
 
+// Unset or empty means "auto" (0). Anything else must be an integer in
+// [1, kMaxThreads]: a typo must not silently fall back to auto, and a
+// huge value must not start that many pool threads.
 int EnvThreads() {
   const char* s = std::getenv("TABLEGAN_NUM_THREADS");
   if (s == nullptr || *s == '\0') return 0;
-  return std::atoi(s);
+  const Result<int64_t> n = args::ParseInt(s, 1, kMaxThreads);
+  TABLEGAN_CHECK(n.ok()) << "bad TABLEGAN_NUM_THREADS value '" << s
+                         << "' (expected an integer in [1, " << kMaxThreads
+                         << "], or unset for auto)";
+  return static_cast<int>(*n);
 }
 
 /// State of one ParallelFor call, shared with helper tasks so a helper

@@ -10,7 +10,9 @@ namespace tablegan {
 /// the im2col convolutions). A single shared worker pool is constructed
 /// lazily on first parallel call; its size comes from, in priority order,
 ///   1. SetNumThreads(n) with n >= 1 (programmatic override),
-///   2. the TABLEGAN_NUM_THREADS environment variable,
+///   2. the TABLEGAN_NUM_THREADS environment variable (unset or empty
+///      means auto; any other value must be an integer in
+///      [1, kMaxThreads], or the process aborts naming the value),
 ///   3. std::thread::hardware_concurrency(), capped at 16.
 ///
 /// Determinism contract: every parallel construct in the library is
@@ -20,6 +22,10 @@ namespace tablegan {
 /// that chunks write disjoint outputs with chunk-independent arithmetic
 /// (GEMM row partitions) or that reductions over chunk partials are
 /// combined serially in chunk order (conv weight gradients).
+
+/// Upper bound on an explicit thread count (TABLEGAN_NUM_THREADS and the
+/// CLI's --threads): the pool starts that many threads.
+inline constexpr int kMaxThreads = 4096;
 
 /// Effective thread count (always >= 1).
 int GetNumThreads();

@@ -735,7 +735,7 @@ Status TableGan::FitMultiLabel(const data::TableView& table,
         TrainingState state{snap_epoch,  &adam_g, &adam_d,
                             &adam_c,     &info,   &guard,
                             sn.get(),    rollbacks_used};
-        TABLEGAN_RETURN_NOT_OK(SaveImpl(auto_path, &state, /*version=*/6));
+        TABLEGAN_RETURN_NOT_OK(SaveImpl(auto_path, &state));
       }
       if (options_.metrics_sink != nullptr) {
         TrainingEvent ev;
@@ -767,11 +767,10 @@ Status TableGan::FitMultiLabel(const data::TableView& table,
                           &adam_c,   &info,   &guard,
                           sn.get(),  rollbacks_used};
       TABLEGAN_RETURN_NOT_OK(
-          SaveImpl(CheckpointPath(options_.checkpoint_dir, epoch + 1),
-                   &state, /*version=*/6));
+          SaveImpl(CheckpointPath(options_.checkpoint_dir, epoch + 1), &state));
       // Stable alias for "resume from wherever the run died".
-      TABLEGAN_RETURN_NOT_OK(SaveImpl(
-          options_.checkpoint_dir + "/latest.tgan", &state, /*version=*/6));
+      TABLEGAN_RETURN_NOT_OK(
+          SaveImpl(options_.checkpoint_dir + "/latest.tgan", &state));
     }
   }
   fitted_ = true;

@@ -135,16 +135,6 @@ class TableGan {
   /// atomic (temp file + rename) and the file carries a CRC-32 footer.
   Status Save(const std::string& path) const;
 
-  /// Save() with an explicit on-disk format version. Supported versions:
-  /// 6 (current; equivalent to Save), 5 (omits the conditional /
-  /// GMM-normalizer section), 4 (additionally omits the loss-mode and
-  /// guardrail fields) and 3 (legacy: additionally omits the sampling
-  /// stream counters and Adam bias-correction powers). A conditional or
-  /// GMM-normalized model cannot be expressed below version 6 and is
-  /// rejected with InvalidArgument. Used by tests to exercise the older
-  /// compatibility paths of Load.
-  Status SaveCompat(const std::string& path, int version) const;
-
   /// Restores a model saved by Save() or a mid-training checkpoint.
   /// Truncated, bit-flipped or wrong-version files are rejected with a
   /// non-OK Status (the CRC footer is verified before any field is
@@ -176,10 +166,9 @@ class TableGan {
   };
 
   /// Serializes the model — plus the training section when `train` is
-  /// non-null — to `path` atomically with a CRC-32 footer, in the given
-  /// on-disk format version (3, 4 or 5; see SaveCompat).
-  Status SaveImpl(const std::string& path, const TrainingState* train,
-                  int version) const;
+  /// non-null — to `path` atomically with a CRC-32 footer, in the current
+  /// on-disk format (v6; Load also reads v3–v5).
+  Status SaveImpl(const std::string& path, const TrainingState* train) const;
 
   /// Restores the training section of a checkpoint into this partially
   /// initialized model (networks and optimizers already built by Fit).

@@ -21,14 +21,12 @@
 // (DESIGN.md §16). Models using only the defaults carry an all-min-max
 // spec table and load bitwise identical to their v5 selves.
 //
-// Version-5 files (no encoding/conditioning section: min-max everywhere,
-// unconditional), version-4 files (additionally no loss-mode/guardrail
-// fields: the loaded model runs the default DCGAN loss with a fresh
-// guard) and version-3 files (additionally no sampling-stream counters
-// and no Adam powers) are still read. SaveCompat(path, 3|4|5) writes the
-// legacy layouts for round-trip tests; a model that actually uses GMM
-// columns or conditioning cannot be downgraded and SaveCompat rejects
-// the attempt.
+// Only v6 is written. Version-5 files (no encoding/conditioning
+// section: min-max everywhere, unconditional), version-4 files
+// (additionally no loss-mode/guardrail fields: the loaded model runs the
+// default DCGAN loss with a fresh guard) and version-3 files
+// (additionally no sampling-stream counters and no Adam powers) are
+// still read; committed fixtures under tests/data/ pin those readers.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -187,7 +185,7 @@ Status AtomicWriteFile(const std::string& path, std::string payload) {
 
 // Reads the whole file, checks magic, version and the CRC-32 footer.
 // On success `*contents` holds the full file, `*version` the on-disk
-// format version (3, 4 or 5), and `*in` is positioned just past the
+// format version (3 to 6), and `*in` is positioned just past the
 // magic.
 Status ReadVerifiedFile(const std::string& path, std::string* contents,
                         std::istringstream* in, int* version) {
@@ -442,38 +440,19 @@ bool ReadAdam(std::istream& in, int version, nn::Adam* adam) {
   return true;
 }
 
-void WriteAdam(std::ostream& out, int version, nn::Adam* adam) {
+void WriteAdam(std::ostream& out, nn::Adam* adam) {
   WriteI64(out, adam->step_count());
-  if (version >= 4) {
-    WriteF64(out, adam->beta1_power());
-    WriteF64(out, adam->beta2_power());
-  }
+  WriteF64(out, adam->beta1_power());
+  WriteF64(out, adam->beta2_power());
   for (Tensor* m : adam->MomentTensors()) WriteTensor(out, *m);
 }
 
 }  // namespace
 
-Status TableGan::SaveImpl(const std::string& path, const TrainingState* train,
-                          int version) const {
-  if (version < 3 || version > 6) {
-    return Status::InvalidArgument("unsupported save version " +
-                                   std::to_string(version));
-  }
-  if (version < 6 && (options_.conditional || !normalizer_.all_minmax())) {
-    // Pre-v6 layouts have nowhere to carry the mixtures or the label
-    // vocabulary; silently dropping them would save a model that decodes
-    // differently than it samples.
-    return Status::InvalidArgument(
-        "cannot save a conditional or GMM-normalized model in format "
-        "version " +
-        std::to_string(version) + " (requires version 6)");
-  }
+Status TableGan::SaveImpl(const std::string& path,
+                          const TrainingState* train) const {
   std::ostringstream out;
-  out.write(version >= 6
-                ? kMagicV6
-                : (version >= 5 ? kMagicV5
-                                : (version >= 4 ? kMagicV4 : kMagicV3)),
-            kMagicSize);
+  out.write(kMagicV6, kMagicSize);
 
   // Options: the fields that shape the architecture, sampling and the
   // training trajectory (resume validates all of them).
@@ -514,59 +493,52 @@ Status TableGan::SaveImpl(const std::string& path, const TrainingState* train,
 
   // Sampling-stream counters (v4+): a reloaded model continues Sample's
   // counter-derived substreams where this one left off.
-  if (version >= 4) {
-    WriteU64(out, sample_stream_seed_);
-    WriteU64(out, sample_rows_emitted_);
-  }
+  WriteU64(out, sample_stream_seed_);
+  WriteU64(out, sample_rows_emitted_);
 
   // Loss-mode and guardrail options (v5+).
-  if (version >= 5) {
-    WriteI64(out, static_cast<int64_t>(options_.loss_mode));
-    WriteF32(out, options_.gp_weight);
-    WriteF32(out, options_.sn_weight);
-    WriteI64(out, options_.sn_power_iters);
-    WriteI64(out, static_cast<int64_t>(options_.divergence_action));
-    WriteF32(out, options_.guard_ewma_weight);
-    WriteF32(out, options_.guard_factor);
-    WriteI64(out, options_.guard_warmup_epochs);
-    WriteI64(out, options_.guard_max_rollbacks);
-  }
+  WriteI64(out, static_cast<int64_t>(options_.loss_mode));
+  WriteF32(out, options_.gp_weight);
+  WriteF32(out, options_.sn_weight);
+  WriteI64(out, options_.sn_power_iters);
+  WriteI64(out, static_cast<int64_t>(options_.divergence_action));
+  WriteF32(out, options_.guard_ewma_weight);
+  WriteF32(out, options_.guard_factor);
+  WriteI64(out, options_.guard_warmup_epochs);
+  WriteI64(out, options_.guard_max_rollbacks);
 
-  // Record-encoding and conditioning section (v6+).
-  if (version >= 6) {
-    WriteI64(out, options_.conditional ? 1 : 0);
-    WriteI64(out, options_.gmm_components);
-    WriteI64(out, static_cast<int64_t>(options_.gmm_columns.size()));
-    for (int c : options_.gmm_columns) WriteI64(out, c);
-    const std::vector<data::ColumnNormalizerSpec>& specs =
-        normalizer_.specs();
-    for (int c = 0; c < schema_.num_columns(); ++c) {
-      const data::NormalizerKind kind =
-          specs.empty() ? data::NormalizerKind::kMinMax
-                        : specs[static_cast<size_t>(c)].kind;
-      WriteI64(out, static_cast<int64_t>(kind));
-      if (kind != data::NormalizerKind::kGmm) continue;
-      const data::GmmColumnNormalizer* g = normalizer_.gmm(c);
-      WriteI64(out, specs[static_cast<size_t>(c)].components);
-      WriteF64(out, g->lo());
-      WriteF64(out, g->hi());
-      WriteI64(out, g->num_components());
-      for (const data::GmmComponent& comp : g->components()) {
-        WriteF64(out, comp.weight);
-        WriteF64(out, comp.mean);
-        WriteF64(out, comp.sigma);
-        WriteF64(out, comp.halfwidth);
-      }
+  // Record-encoding and conditioning section (v6).
+  WriteI64(out, options_.conditional ? 1 : 0);
+  WriteI64(out, options_.gmm_components);
+  WriteI64(out, static_cast<int64_t>(options_.gmm_columns.size()));
+  for (int c : options_.gmm_columns) WriteI64(out, c);
+  const std::vector<data::ColumnNormalizerSpec>& specs = normalizer_.specs();
+  for (int c = 0; c < schema_.num_columns(); ++c) {
+    const data::NormalizerKind kind =
+        specs.empty() ? data::NormalizerKind::kMinMax
+                      : specs[static_cast<size_t>(c)].kind;
+    WriteI64(out, static_cast<int64_t>(kind));
+    if (kind != data::NormalizerKind::kGmm) continue;
+    const data::GmmColumnNormalizer* g = normalizer_.gmm(c);
+    WriteI64(out, specs[static_cast<size_t>(c)].components);
+    WriteF64(out, g->lo());
+    WriteF64(out, g->hi());
+    WriteI64(out, g->num_components());
+    for (const data::GmmComponent& comp : g->components()) {
+      WriteF64(out, comp.weight);
+      WriteF64(out, comp.mean);
+      WriteF64(out, comp.sigma);
+      WriteF64(out, comp.halfwidth);
     }
-    if (options_.conditional) {
-      for (size_t j = 0; j < label_cols_.size(); ++j) {
-        const std::vector<double>& levels = label_levels_[j];
-        const std::vector<double>& freqs = label_level_freqs_[j];
-        WriteI64(out, static_cast<int64_t>(levels.size()));
-        for (size_t t = 0; t < levels.size(); ++t) {
-          WriteF64(out, levels[t]);
-          WriteF64(out, freqs[t]);
-        }
+  }
+  if (options_.conditional) {
+    for (size_t j = 0; j < label_cols_.size(); ++j) {
+      const std::vector<double>& levels = label_levels_[j];
+      const std::vector<double>& freqs = label_level_freqs_[j];
+      WriteI64(out, static_cast<int64_t>(levels.size()));
+      for (size_t t = 0; t < levels.size(); ++t) {
+        WriteF64(out, levels[t]);
+        WriteF64(out, freqs[t]);
       }
     }
   }
@@ -589,27 +561,22 @@ Status TableGan::SaveImpl(const std::string& path, const TrainingState* train,
     for (uint64_t s : rs.s) WriteU64(out, s);
     WriteI64(out, rs.has_cached_gaussian ? 1 : 0);
     WriteF64(out, rs.cached_gaussian);
-    WriteAdam(out, version, train->adam_g);
-    WriteAdam(out, version, train->adam_d);
-    WriteAdam(out, version, train->adam_c);
+    WriteAdam(out, train->adam_g);
+    WriteAdam(out, train->adam_d);
+    WriteAdam(out, train->adam_c);
     WriteI64(out, train->info->initialized() ? 1 : 0);
     for (Tensor* t : train->info->EwmaTensors()) WriteTensor(out, *t);
-    if (version >= 5) {
-      // Divergence-guard state, rollback budget spent, and the
-      // spectral-norm power-iteration vectors (u then v per bound
-      // weight, binding order).
-      WriteF64(out, train->guard != nullptr ? train->guard->ewma() : 0.0);
-      WriteF64(out,
-               train->guard != nullptr ? train->guard->baseline() : 0.0);
-      WriteI64(out, train->guard != nullptr
-                        ? train->guard->observed_epochs()
-                        : 0);
-      WriteI64(out, train->rollbacks_used);
-      std::vector<Tensor*> sn_state;
-      if (train->sn != nullptr) sn_state = train->sn->StateTensors();
-      WriteI64(out, static_cast<int64_t>(sn_state.size()));
-      for (Tensor* t : sn_state) WriteTensor(out, *t);
-    }
+    // Divergence-guard state, rollback budget spent, and the spectral-norm
+    // power-iteration vectors (u then v per bound weight, binding order).
+    WriteF64(out, train->guard != nullptr ? train->guard->ewma() : 0.0);
+    WriteF64(out, train->guard != nullptr ? train->guard->baseline() : 0.0);
+    WriteI64(out,
+             train->guard != nullptr ? train->guard->observed_epochs() : 0);
+    WriteI64(out, train->rollbacks_used);
+    std::vector<Tensor*> sn_state;
+    if (train->sn != nullptr) sn_state = train->sn->StateTensors();
+    WriteI64(out, static_cast<int64_t>(sn_state.size()));
+    for (Tensor* t : sn_state) WriteTensor(out, *t);
     WriteI64(out, static_cast<int64_t>(history_.size()));
     for (const EpochStats& s : history_) {
       WriteF32(out, s.d_loss);
@@ -629,12 +596,7 @@ Status TableGan::SaveImpl(const std::string& path, const TrainingState* train,
 
 Status TableGan::Save(const std::string& path) const {
   if (!fitted_) return Status::FailedPrecondition("Save before Fit");
-  return SaveImpl(path, nullptr, 6);
-}
-
-Status TableGan::SaveCompat(const std::string& path, int version) const {
-  if (!fitted_) return Status::FailedPrecondition("Save before Fit");
-  return SaveImpl(path, nullptr, version);
+  return SaveImpl(path, nullptr);
 }
 
 Result<TableGan> TableGan::Load(const std::string& path) {

@@ -1,68 +1,64 @@
 #include "nn/activations.h"
 
-#include <cmath>
-
 #include "tensor/kernels/kernels.h"
 
 namespace tablegan {
 namespace nn {
 
 // Forward/Backward write into pooled buffers (NewBuffer) through the
-// dispatched elementwise kernels, which keep the original per-element
-// float expressions, so results are bitwise identical with or without a
-// bound workspace. The cached activations are copy-assigned members:
-// their capacity is reused across steps, so steady-state caching does
-// not allocate either. Infer reuses the same kernels in place (`y` may
-// alias `x` per the backend contract).
+// tensor/kernels elementwise kernels, which keep the original
+// per-element float expressions, so results are bitwise identical with
+// or without a bound workspace. Only tanh's backward dispatches on the
+// ISA (its 1 - y*y is contractible); the rest have one implementation.
+// The cached activations are copy-assigned members: their capacity is
+// reused across steps, so steady-state caching does not allocate
+// either. Infer reuses the same kernels in place (`y` may alias `x`).
 
 Tensor ReLU::Forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
   Tensor out = NewBuffer(input.shape());
-  kernels::Active().relu(out.size(), input.data(), out.data());
+  kernels::Relu(out.size(), input.data(), out.data());
   return out;
 }
 
 Tensor ReLU::Backward(const Tensor& grad_output) {
   TABLEGAN_CHECK(grad_output.SameShape(cached_input_));
   Tensor grad = NewBuffer(grad_output.shape());
-  kernels::Active().relu_bwd(grad.size(), cached_input_.data(),
-                             grad_output.data(), grad.data());
+  kernels::ReluBwd(grad.size(), cached_input_.data(), grad_output.data(),
+                   grad.data());
   return grad;
 }
 
 Tensor ReLU::Infer(const Tensor& input) const {
   Tensor out = input;
-  kernels::Active().relu(out.size(), out.data(), out.data());
+  kernels::Relu(out.size(), out.data(), out.data());
   return out;
 }
 
 Tensor LeakyReLU::Forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
   Tensor out = NewBuffer(input.shape());
-  kernels::Active().leaky_relu(out.size(), negative_slope_, input.data(),
-                               out.data());
+  kernels::LeakyRelu(out.size(), negative_slope_, input.data(), out.data());
   return out;
 }
 
 Tensor LeakyReLU::Backward(const Tensor& grad_output) {
   TABLEGAN_CHECK(grad_output.SameShape(cached_input_));
   Tensor grad = NewBuffer(grad_output.shape());
-  kernels::Active().leaky_relu_bwd(grad.size(), negative_slope_,
-                                   cached_input_.data(), grad_output.data(),
-                                   grad.data());
+  kernels::LeakyReluBwd(grad.size(), negative_slope_, cached_input_.data(),
+                        grad_output.data(), grad.data());
   return grad;
 }
 
 Tensor LeakyReLU::Infer(const Tensor& input) const {
   Tensor out = input;
-  kernels::Active().leaky_relu(out.size(), negative_slope_, out.data(),
-                               out.data());
+  kernels::LeakyRelu(out.size(), negative_slope_, out.data(), out.data());
   return out;
 }
 
 Tensor Tanh::Forward(const Tensor& input, bool /*training*/) {
   Tensor out = NewBuffer(input.shape());
-  kernels::Active().tanh_fwd(out.size(), input.data(), out.data());
+  kernels::TanhFwd(out.size(), input.data(), out.data());
   cached_output_ = out;
   return out;
 }
@@ -77,13 +73,13 @@ Tensor Tanh::Backward(const Tensor& grad_output) {
 
 Tensor Tanh::Infer(const Tensor& input) const {
   Tensor out = input;
-  kernels::Active().tanh_fwd(out.size(), out.data(), out.data());
+  kernels::TanhFwd(out.size(), out.data(), out.data());
   return out;
 }
 
 Tensor Sigmoid::Forward(const Tensor& input, bool /*training*/) {
   Tensor out = NewBuffer(input.shape());
-  kernels::Active().sigmoid_fwd(out.size(), input.data(), out.data());
+  kernels::SigmoidFwd(out.size(), input.data(), out.data());
   cached_output_ = out;
   return out;
 }
@@ -91,14 +87,14 @@ Tensor Sigmoid::Forward(const Tensor& input, bool /*training*/) {
 Tensor Sigmoid::Backward(const Tensor& grad_output) {
   TABLEGAN_CHECK(grad_output.SameShape(cached_output_));
   Tensor grad = NewBuffer(grad_output.shape());
-  kernels::Active().sigmoid_bwd(grad.size(), cached_output_.data(),
-                                grad_output.data(), grad.data());
+  kernels::SigmoidBwd(grad.size(), cached_output_.data(), grad_output.data(),
+                      grad.data());
   return grad;
 }
 
 Tensor Sigmoid::Infer(const Tensor& input) const {
   Tensor out = input;
-  kernels::Active().sigmoid_fwd(out.size(), out.data(), out.data());
+  kernels::SigmoidFwd(out.size(), out.data(), out.data());
   return out;
 }
 

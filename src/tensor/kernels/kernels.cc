@@ -1,12 +1,11 @@
-// Backend selection: once per process, from TABLEGAN_ISA / TABLEGAN_FMA
-// and CPUID. All call sites go through Active(), whose selected pointer
-// is immutable after first use, so dispatch costs one atomic load.
+// Backend selection: once per process, from TABLEGAN_ISA and CPUID. All
+// call sites go through Active(), whose selected pointer is immutable
+// after first use, so dispatch costs one atomic load.
 
 #include "tensor/kernels/kernels.h"
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/logging.h"
@@ -15,41 +14,35 @@ namespace tablegan {
 namespace kernels {
 
 // Defined in kernels_avx2.cc; returns nullptr when the backend was not
-// compiled in (compiler without AVX2/FMA support).
-const Backend* Avx2CompiledBackend(bool fma);
+// compiled in (compiler without AVX2 support).
+const Backend* Avx2CompiledBackend();
 
 namespace {
 
-bool CpuSupportsAvx2Fma() {
+bool CpuSupportsAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
 }
 
-bool EnvFlagSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
 const Backend* SelectFromEnv() {
-  const bool want_fma = EnvFlagSet("TABLEGAN_FMA");
   const char* isa = std::getenv("TABLEGAN_ISA");
   const std::string choice = isa == nullptr ? "auto" : isa;
   if (choice == "scalar") return &Scalar();
   if (choice == "avx2") {
-    const Backend* b = Avx2(want_fma);
+    const Backend* b = Avx2();
     TABLEGAN_CHECK(b != nullptr)
-        << "TABLEGAN_ISA=avx2 requested but AVX2+FMA is "
-        << (Avx2CompiledBackend(false) == nullptr ? "not compiled in"
-                                                  : "not supported by this CPU");
+        << "TABLEGAN_ISA=avx2 requested but AVX2 is "
+        << (Avx2CompiledBackend() == nullptr ? "not compiled in"
+                                             : "not supported by this CPU");
     return b;
   }
   TABLEGAN_CHECK(choice == "auto" || choice.empty())
       << "unknown TABLEGAN_ISA value '" << choice
       << "' (expected scalar, avx2 or auto)";
-  const Backend* b = Avx2(want_fma);
+  const Backend* b = Avx2();
   return b != nullptr ? b : &Scalar();
 }
 
@@ -64,11 +57,9 @@ const Backend& Active() {
   return *selected;
 }
 
-const Backend* Avx2(bool fma) {
-  return CpuSupportsAvx2Fma() ? Avx2CompiledBackend(fma) : nullptr;
+const Backend* Avx2() {
+  return CpuSupportsAvx2() ? Avx2CompiledBackend() : nullptr;
 }
-
-bool Avx2Available() { return Avx2(false) != nullptr; }
 
 void OverrideBackend(const Backend* backend) {
   g_override.store(backend, std::memory_order_release);

@@ -1,9 +1,8 @@
-// AVX2/FMA backend. Compiled with -mavx2 -mfma -ffp-contract=off (see
-// src/tensor/CMakeLists.txt): contraction is off so the only FMAs are
-// the explicit _mm256_fmadd_ps in the kFma=true instantiation, giving
-// the kFma=false variant portable strict IEEE semantics — one rounding
-// per multiply and per add. (The production scalar backend is compiled
-// with contraction *on*, so the kFma=false variant matches the
+// AVX2 backend. Compiled with -mavx2 -ffp-contract=off (see
+// src/tensor/CMakeLists.txt): with contraction off the TU contains no
+// fused multiply-adds, giving it portable strict IEEE semantics — one
+// rounding per multiply and per add. (The production scalar backend is
+// compiled with contraction *on*, so this backend matches the
 // *non-contracted* reference loops bitwise — which the parity suite
 // compiles itself — and the scalar backend to a documented bound; see
 // the contract in kernels.h.)
@@ -17,35 +16,25 @@
 // is store/load elision and rounds identically). The only reassociating
 // divergence is the NCHW BatchNorm reductions, which split the spatial
 // axis over 8 lanes folded in lane order.
+//
+// Only the kernels whose bits or speed depend on the ISA live here: the
+// three GEMMs, the four BatchNorm substeps and tanh_bwd. im2col/col2im
+// and the other activations have one implementation for every backend.
 
 #include "tensor/kernels/kernels.h"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "tensor/kernels/blocking.h"
 
 namespace tablegan {
 namespace kernels {
 
-// libm forwards shared with the scalar backend (kernels_scalar.cc).
-void TanhFwdLibm(int64_t n, const float* x, float* y);
-void SigmoidFwdLibm(int64_t n, const float* x, float* y);
-
 namespace {
-
-template <bool kFma>
-inline __m256 MulAdd(__m256 a, __m256 b, __m256 c) {
-  if constexpr (kFma) {
-    return _mm256_fmadd_ps(a, b, c);
-  } else {
-    return _mm256_add_ps(c, _mm256_mul_ps(a, b));
-  }
-}
 
 // Sums the 8 lanes in ascending lane order (the documented fixed
 // lane-reduction order for the NCHW BatchNorm reductions).
@@ -66,7 +55,7 @@ inline float LaneSum(__m256 v) {
 // memory in the scalar kernel, which does not round), and the
 // alpha*a==0 skip is applied per (row, kk) exactly as in scalar.
 
-template <int kRows, bool kFma>
+template <int kRows>
 void NnMicro16(int64_t k0, int64_t k1, int64_t k, int64_t n, float alpha,
                const float* a, const float* b, float* c, int64_t j0) {
   __m256 acc[kRows][2];
@@ -81,8 +70,8 @@ void NnMicro16(int64_t k0, int64_t k1, int64_t k, int64_t n, float alpha,
       const float av = alpha * a[r * k + kk];
       if (av == 0.0f) continue;
       const __m256 avv = _mm256_set1_ps(av);
-      acc[r][0] = MulAdd<kFma>(avv, b0, acc[r][0]);
-      acc[r][1] = MulAdd<kFma>(avv, b1, acc[r][1]);
+      acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(avv, b0));
+      acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(avv, b1));
     }
   }
   for (int r = 0; r < kRows; ++r) {
@@ -91,7 +80,7 @@ void NnMicro16(int64_t k0, int64_t k1, int64_t k, int64_t n, float alpha,
   }
 }
 
-template <int kRows, bool kFma>
+template <int kRows>
 void NnMicro8(int64_t k0, int64_t k1, int64_t k, int64_t n, float alpha,
               const float* a, const float* b, float* c, int64_t j0) {
   __m256 acc[kRows];
@@ -101,13 +90,12 @@ void NnMicro8(int64_t k0, int64_t k1, int64_t k, int64_t n, float alpha,
     for (int r = 0; r < kRows; ++r) {
       const float av = alpha * a[r * k + kk];
       if (av == 0.0f) continue;
-      acc[r] = MulAdd<kFma>(_mm256_set1_ps(av), b0, acc[r]);
+      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(av), b0));
     }
   }
   for (int r = 0; r < kRows; ++r) _mm256_storeu_ps(c + r * n + j0, acc[r]);
 }
 
-template <bool kFma>
 void GemmNnAvx2(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
                 const float* b, float* c) {
   for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
@@ -116,19 +104,19 @@ void GemmNnAvx2(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
     for (; j0 + 16 <= n; j0 += 16) {
       int64_t i = 0;
       for (; i + 4 <= m; i += 4) {
-        NnMicro16<4, kFma>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
+        NnMicro16<4>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
       }
       for (; i < m; ++i) {
-        NnMicro16<1, kFma>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
+        NnMicro16<1>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
       }
     }
     if (j0 + 8 <= n) {
       int64_t i = 0;
       for (; i + 4 <= m; i += 4) {
-        NnMicro8<4, kFma>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
+        NnMicro8<4>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
       }
       for (; i < m; ++i) {
-        NnMicro8<1, kFma>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
+        NnMicro8<1>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
       }
       j0 += 8;
     }
@@ -154,10 +142,8 @@ void GemmNnAvx2(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
 // A kNtBlockL x kNtBlockJ tile of B is transpose-packed (pure copy) so
 // the j axis becomes contiguous; each lane then accumulates its own
 // C element over the *same* [l0, l1) depth blocks as the scalar kernel
-// (acc = 0, ascending l, then c += acc), making the kFma=false variant
-// bitwise exact.
+// (acc = 0, ascending l, then c += acc), making it bitwise exact.
 
-template <bool kFma>
 void GemmNtAvx2(int64_t m, int64_t n, int64_t k, const float* a,
                 const float* b, float* c, bool accumulate) {
   if (!accumulate) {
@@ -188,10 +174,10 @@ void GemmNtAvx2(int64_t m, int64_t n, int64_t k, const float* a,
           const float* a3 = a2 + k;
           for (int64_t l = 0; l < lw; ++l) {
             const __m256 bv = _mm256_load_ps(bt + l * jv + jj);
-            acc0 = MulAdd<kFma>(_mm256_set1_ps(a0[l]), bv, acc0);
-            acc1 = MulAdd<kFma>(_mm256_set1_ps(a1[l]), bv, acc1);
-            acc2 = MulAdd<kFma>(_mm256_set1_ps(a2[l]), bv, acc2);
-            acc3 = MulAdd<kFma>(_mm256_set1_ps(a3[l]), bv, acc3);
+            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_set1_ps(a0[l]), bv));
+            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_set1_ps(a1[l]), bv));
+            acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_set1_ps(a2[l]), bv));
+            acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_set1_ps(a3[l]), bv));
           }
           float* crow = c + i * n + j0 + jj;
           _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc0));
@@ -208,8 +194,7 @@ void GemmNtAvx2(int64_t m, int64_t n, int64_t k, const float* a,
           __m256 acc = _mm256_setzero_ps();
           const float* arow = a + i * k + l0;
           for (int64_t l = 0; l < lw; ++l) {
-            acc = MulAdd<kFma>(_mm256_set1_ps(arow[l]),
-                               _mm256_load_ps(bt + l * jv + jj), acc);
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(arow[l]), _mm256_load_ps(bt + l * jv + jj)));
           }
           float* crow = c + i * n + j0 + jj;
           _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc));
@@ -239,7 +224,7 @@ void GemmNtAvx2(int64_t m, int64_t n, int64_t k, const float* a,
 // register (the scalar kernel round-trips C through memory, which does
 // not round), with the a==0 skip applied per (l, row) as in scalar.
 
-template <int kRows, bool kFma>
+template <int kRows>
 void TnMicro16(int64_t i, int64_t m, int64_t n, int64_t k, const float* a,
                const float* b, float* c, int64_t j0) {
   __m256 acc[kRows][2];
@@ -255,8 +240,8 @@ void TnMicro16(int64_t i, int64_t m, int64_t n, int64_t k, const float* a,
       const float av = arow[r];
       if (av == 0.0f) continue;
       const __m256 avv = _mm256_set1_ps(av);
-      acc[r][0] = MulAdd<kFma>(avv, b0, acc[r][0]);
-      acc[r][1] = MulAdd<kFma>(avv, b1, acc[r][1]);
+      acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(avv, b0));
+      acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(avv, b1));
     }
   }
   for (int r = 0; r < kRows; ++r) {
@@ -265,14 +250,13 @@ void TnMicro16(int64_t i, int64_t m, int64_t n, int64_t k, const float* a,
   }
 }
 
-template <bool kFma>
 void GemmTnAvx2(int64_t r0, int64_t r1, int64_t m, int64_t n, int64_t k,
                 const float* a, const float* b, float* c) {
   int64_t j0 = 0;
   for (; j0 + 16 <= n; j0 += 16) {
     int64_t i = r0;
-    for (; i + 4 <= r1; i += 4) TnMicro16<4, kFma>(i, m, n, k, a, b, c, j0);
-    for (; i < r1; ++i) TnMicro16<1, kFma>(i, m, n, k, a, b, c, j0);
+    for (; i + 4 <= r1; i += 4) TnMicro16<4>(i, m, n, k, a, b, c, j0);
+    for (; i < r1; ++i) TnMicro16<1>(i, m, n, k, a, b, c, j0);
   }
   if (j0 < n) {
     // Scalar column tail: reference loop order over [j0, n).
@@ -290,103 +274,11 @@ void GemmTnAvx2(int64_t r0, int64_t r1, int64_t m, int64_t n, int64_t k,
 }
 
 // ---------------------------------------------------------------------
-// im2col / col2im: pure data movement (plus one add per target cell for
-// col2im), so any implementation is bitwise exact. The hot stride-1 rows
-// become memcpy / vector adds; other strides use strided scalar loops
-// over the precomputed valid x range.
-
-// Valid output-x range [x_lo, x_hi) for which ix = x*stride + off lies
-// in [0, in_w).
-inline void ValidXRange(int64_t off, int64_t stride, int64_t in_w, int64_t ow,
-                        int64_t* x_lo, int64_t* x_hi) {
-  *x_lo = off >= 0 ? 0 : std::min(ow, (-off + stride - 1) / stride);
-  const int64_t t = in_w - 1 - off;
-  *x_hi = t < 0 ? *x_lo : std::min(ow, t / stride + 1);
-  if (*x_hi < *x_lo) *x_hi = *x_lo;
-}
-
-void Im2ColAvx2(const ops::Conv2dGeometry& g, const float* img, float* cols) {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t out_spatial = oh * ow;
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.in_channels; ++c) {
-    const float* channel = img + c * g.in_h * g.in_w;
-    for (int64_t ky = 0; ky < g.kernel; ++ky) {
-      for (int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        float* out_row = cols + row * out_spatial;
-        const int64_t off = kx - g.padding;
-        int64_t x_lo, x_hi;
-        ValidXRange(off, g.stride, g.in_w, ow, &x_lo, &x_hi);
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t iy = y * g.stride + ky - g.padding;
-          float* dst = out_row + y * ow;
-          if (iy < 0 || iy >= g.in_h) {
-            std::memset(dst, 0, static_cast<size_t>(ow) * sizeof(float));
-            continue;
-          }
-          const float* src = channel + iy * g.in_w + off;
-          if (x_lo > 0) {
-            std::memset(dst, 0, static_cast<size_t>(x_lo) * sizeof(float));
-          }
-          if (g.stride == 1) {
-            std::memcpy(dst + x_lo, src + x_lo,
-                        static_cast<size_t>(x_hi - x_lo) * sizeof(float));
-          } else {
-            for (int64_t x = x_lo; x < x_hi; ++x) dst[x] = src[x * g.stride];
-          }
-          if (x_hi < ow) {
-            std::memset(dst + x_hi, 0,
-                        static_cast<size_t>(ow - x_hi) * sizeof(float));
-          }
-        }
-      }
-    }
-  }
-}
-
-void Col2ImAvx2(const ops::Conv2dGeometry& g, const float* cols, float* img) {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t out_spatial = oh * ow;
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.in_channels; ++c) {
-    float* channel = img + c * g.in_h * g.in_w;
-    for (int64_t ky = 0; ky < g.kernel; ++ky) {
-      for (int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        const float* in_row = cols + row * out_spatial;
-        const int64_t off = kx - g.padding;
-        int64_t x_lo, x_hi;
-        ValidXRange(off, g.stride, g.in_w, ow, &x_lo, &x_hi);
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t iy = y * g.stride + ky - g.padding;
-          if (iy < 0 || iy >= g.in_h) continue;
-          const float* src = in_row + y * ow;
-          float* dst = channel + iy * g.in_w + off;
-          if (g.stride == 1) {
-            int64_t x = x_lo;
-            for (; x + 8 <= x_hi; x += 8) {
-              _mm256_storeu_ps(dst + x,
-                               _mm256_add_ps(_mm256_loadu_ps(dst + x),
-                                             _mm256_loadu_ps(src + x)));
-            }
-            for (; x < x_hi; ++x) dst[x] += src[x];
-          } else {
-            for (int64_t x = x_lo; x < x_hi; ++x) {
-              dst[x * g.stride] += src[x];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
 // BatchNorm. NF tensors (spatial == 1) vectorize across channels, which
 // keeps every per-channel accumulation in scalar order (exact). NCHW
 // reductions split the spatial axis over 8 lanes folded in lane order —
 // deterministic per-ISA, ULP-level different from scalar.
 
-template <bool kFma>
 void BnMomentsAvx2(int64_t rows, int64_t channels, int64_t spatial,
                    const float* x, float* mean, float* var) {
   const float m = static_cast<float>(rows * spatial);
@@ -410,7 +302,7 @@ void BnMomentsAvx2(int64_t rows, int64_t channels, int64_t spatial,
         const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(px + c),
                                        _mm256_loadu_ps(mean + c));
         _mm256_storeu_ps(var + c,
-                         MulAdd<kFma>(d, d, _mm256_loadu_ps(var + c)));
+                         _mm256_add_ps(_mm256_loadu_ps(var + c), _mm256_mul_ps(d, d)));
       }
       for (; c < channels; ++c) {
         const float d = px[c] - mean[c];
@@ -442,7 +334,7 @@ void BnMomentsAvx2(int64_t rows, int64_t channels, int64_t spatial,
       int64_t s = 0;
       for (; s + 8 <= spatial; s += 8) {
         const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(px + s), mv);
-        acc = MulAdd<kFma>(d, d, acc);
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
       }
       float partial = LaneSum(acc);
       for (; s < spatial; ++s) {
@@ -455,7 +347,6 @@ void BnMomentsAvx2(int64_t rows, int64_t channels, int64_t spatial,
   for (int64_t c = 0; c < channels; ++c) var[c] /= m;
 }
 
-template <bool kFma>
 void BnNormalizeAvx2(int64_t rows, int64_t channels, int64_t spatial,
                      const float* x, const float* mean, const float* inv_std,
                      const float* gamma, const float* beta, float* xhat,
@@ -471,8 +362,7 @@ void BnNormalizeAvx2(int64_t rows, int64_t channels, int64_t spatial,
             _mm256_loadu_ps(inv_std + c));
         if (xhat != nullptr) _mm256_storeu_ps(xhat + base + c, xh);
         _mm256_storeu_ps(y + base + c,
-                         MulAdd<kFma>(_mm256_loadu_ps(gamma + c), xh,
-                                      _mm256_loadu_ps(beta + c)));
+                         _mm256_add_ps(_mm256_loadu_ps(beta + c), _mm256_mul_ps(_mm256_loadu_ps(gamma + c), xh)));
       }
       for (; c < channels; ++c) {
         const float xh = (x[base + c] - mean[c]) * inv_std[c];
@@ -494,7 +384,7 @@ void BnNormalizeAvx2(int64_t rows, int64_t channels, int64_t spatial,
         const __m256 xh = _mm256_mul_ps(
             _mm256_sub_ps(_mm256_loadu_ps(x + base + s), mv), sv);
         if (xhat != nullptr) _mm256_storeu_ps(xhat + base + s, xh);
-        _mm256_storeu_ps(y + base + s, MulAdd<kFma>(gv, xh, bv));
+        _mm256_storeu_ps(y + base + s, _mm256_add_ps(bv, _mm256_mul_ps(gv, xh)));
       }
       for (; s < spatial; ++s) {
         const float xh = (x[base + s] - mean[c]) * inv_std[c];
@@ -505,7 +395,6 @@ void BnNormalizeAvx2(int64_t rows, int64_t channels, int64_t spatial,
   }
 }
 
-template <bool kFma>
 void BnBackwardReduceAvx2(int64_t rows, int64_t channels, int64_t spatial,
                           const float* dy, const float* xhat, float* sum_dy,
                           float* sum_dy_xhat) {
@@ -518,8 +407,7 @@ void BnBackwardReduceAvx2(int64_t rows, int64_t channels, int64_t spatial,
         _mm256_storeu_ps(sum_dy + c,
                          _mm256_add_ps(_mm256_loadu_ps(sum_dy + c), dyv));
         _mm256_storeu_ps(sum_dy_xhat + c,
-                         MulAdd<kFma>(dyv, _mm256_loadu_ps(xhat + base + c),
-                                      _mm256_loadu_ps(sum_dy_xhat + c)));
+                         _mm256_add_ps(_mm256_loadu_ps(sum_dy_xhat + c), _mm256_mul_ps(dyv, _mm256_loadu_ps(xhat + base + c))));
       }
       for (; c < channels; ++c) {
         sum_dy[c] += dy[base + c];
@@ -537,8 +425,7 @@ void BnBackwardReduceAvx2(int64_t rows, int64_t channels, int64_t spatial,
       for (; s + 8 <= spatial; s += 8) {
         const __m256 dyv = _mm256_loadu_ps(dy + base + s);
         acc_dy = _mm256_add_ps(acc_dy, dyv);
-        acc_dyx = MulAdd<kFma>(dyv, _mm256_loadu_ps(xhat + base + s),
-                               acc_dyx);
+        acc_dyx = _mm256_add_ps(acc_dyx, _mm256_mul_ps(dyv, _mm256_loadu_ps(xhat + base + s)));
       }
       float p_dy = LaneSum(acc_dy);
       float p_dyx = LaneSum(acc_dyx);
@@ -608,131 +495,47 @@ void BnBackwardInputAvx2(int64_t rows, int64_t channels, int64_t spatial,
 }
 
 // ---------------------------------------------------------------------
-// Elementwise activations. Comparisons use ordered-quiet predicates so
-// NaN falls through to the identity branch exactly as `x < 0` does in
-// scalar; -0.0f compares equal to 0.0f in both, so sign handling also
-// matches.
+// tanh backward: dx = dy * (1 - y*y), one rounding per operation.
 
-void ReluAvx2(int64_t n, const float* x, float* y) {
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    const __m256 neg = _mm256_cmp_ps(xv, zero, _CMP_LT_OQ);
-    _mm256_storeu_ps(y + i, _mm256_andnot_ps(neg, xv));
-  }
-  for (; i < n; ++i) y[i] = x[i] < 0.0f ? 0.0f : x[i];
-}
-
-void ReluBwdAvx2(int64_t n, const float* x, const float* dy, float* dx) {
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 off = _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero,
-                                     _CMP_LE_OQ);
-    _mm256_storeu_ps(dx + i, _mm256_andnot_ps(off, _mm256_loadu_ps(dy + i)));
-  }
-  for (; i < n; ++i) dx[i] = x[i] <= 0.0f ? 0.0f : dy[i];
-}
-
-void LeakyReluAvx2(int64_t n, float slope, const float* x, float* y) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 sv = _mm256_set1_ps(slope);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    const __m256 neg = _mm256_cmp_ps(xv, zero, _CMP_LT_OQ);
-    _mm256_storeu_ps(y + i,
-                     _mm256_blendv_ps(xv, _mm256_mul_ps(xv, sv), neg));
-  }
-  for (; i < n; ++i) y[i] = x[i] < 0.0f ? x[i] * slope : x[i];
-}
-
-void LeakyReluBwdAvx2(int64_t n, float slope, const float* x, const float* dy,
-                      float* dx) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 sv = _mm256_set1_ps(slope);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 off = _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero,
-                                     _CMP_LE_OQ);
-    const __m256 dyv = _mm256_loadu_ps(dy + i);
-    _mm256_storeu_ps(dx + i,
-                     _mm256_blendv_ps(dyv, _mm256_mul_ps(dyv, sv), off));
-  }
-  for (; i < n; ++i) dx[i] = x[i] <= 0.0f ? dy[i] * slope : dy[i];
-}
-
-template <bool kFma>
 void TanhBwdAvx2(int64_t n, const float* y, const float* dy, float* dx) {
   const __m256 one = _mm256_set1_ps(1.0f);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 yv = _mm256_loadu_ps(y + i);
-    __m256 t;
-    if constexpr (kFma) {
-      t = _mm256_fnmadd_ps(yv, yv, one);
-    } else {
-      t = _mm256_sub_ps(one, _mm256_mul_ps(yv, yv));
-    }
+    const __m256 t = _mm256_sub_ps(one, _mm256_mul_ps(yv, yv));
     _mm256_storeu_ps(dx + i, _mm256_mul_ps(_mm256_loadu_ps(dy + i), t));
   }
   for (; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
 }
 
-void SigmoidBwdAvx2(int64_t n, const float* y, const float* dy, float* dx) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 yv = _mm256_loadu_ps(y + i);
-    const __m256 t = _mm256_mul_ps(yv, _mm256_sub_ps(one, yv));
-    _mm256_storeu_ps(dx + i, _mm256_mul_ps(_mm256_loadu_ps(dy + i), t));
-  }
-  for (; i < n; ++i) dx[i] = dy[i] * (y[i] * (1.0f - y[i]));
-}
-
-template <bool kFma>
-Backend MakeAvx2Backend(const char* name) {
-  return Backend{
-      name,
-      kFma,
-      GemmNnAvx2<kFma>,
-      GemmNtAvx2<kFma>,
-      GemmTnAvx2<kFma>,
-      Im2ColAvx2,
-      Col2ImAvx2,
-      BnMomentsAvx2<kFma>,
-      BnNormalizeAvx2<kFma>,
-      BnBackwardReduceAvx2<kFma>,
-      BnBackwardInputAvx2,
-      ReluAvx2,
-      ReluBwdAvx2,
-      LeakyReluAvx2,
-      LeakyReluBwdAvx2,
-      TanhFwdLibm,
-      TanhBwdAvx2<kFma>,
-      SigmoidFwdLibm,
-      SigmoidBwdAvx2,
-  };
-}
-
 }  // namespace
 
-const Backend* Avx2CompiledBackend(bool fma) {
-  static const Backend no_fma = MakeAvx2Backend<false>("avx2");
-  static const Backend with_fma = MakeAvx2Backend<true>("avx2fma");
-  return fma ? &with_fma : &no_fma;
+const Backend* Avx2CompiledBackend() {
+  static const Backend backend = {
+      "avx2",
+      GemmNnAvx2,
+      GemmNtAvx2,
+      GemmTnAvx2,
+      ops::Im2Col,
+      ops::Col2Im,
+      BnMomentsAvx2,
+      BnNormalizeAvx2,
+      BnBackwardReduceAvx2,
+      BnBackwardInputAvx2,
+      TanhBwdAvx2,
+  };
+  return &backend;
 }
 
 }  // namespace kernels
 }  // namespace tablegan
 
-#else  // !(__AVX2__ && __FMA__)
+#else  // !__AVX2__
 
 namespace tablegan {
 namespace kernels {
 
-const Backend* Avx2CompiledBackend(bool /*fma*/) { return nullptr; }
+const Backend* Avx2CompiledBackend() { return nullptr; }
 
 }  // namespace kernels
 }  // namespace tablegan

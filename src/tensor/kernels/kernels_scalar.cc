@@ -1,9 +1,10 @@
-// The scalar reference backend. The GEMM and im2col/col2im bodies are
-// the pre-dispatch kernels from tensor/matmul.cc and tensor/im2col.cc,
-// and the BatchNorm/activation loops reproduce the per-element float
-// expressions from nn/batch_norm.cc and nn/activations.cc — moved, not
-// rewritten, so the scalar backend is bit-for-bit the code every golden
-// checkpoint and determinism test was recorded against.
+// The scalar reference backend, plus the elementwise activations every
+// backend shares. The GEMM bodies are the pre-dispatch kernels from
+// tensor/matmul.cc, and the BatchNorm/activation loops reproduce the
+// per-element float expressions from nn/batch_norm.cc and
+// nn/activations.cc — moved, not rewritten, so the scalar backend is
+// bit-for-bit the code every golden checkpoint and determinism test was
+// recorded against.
 
 #include <algorithm>
 #include <cmath>
@@ -84,54 +85,6 @@ void GemmTn(int64_t r0, int64_t r1, int64_t m, int64_t n, int64_t k,
   }
 }
 
-void Im2ColScalar(const ops::Conv2dGeometry& g, const float* img,
-                  float* cols) {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t out_spatial = oh * ow;
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.in_channels; ++c) {
-    const float* channel = img + c * g.in_h * g.in_w;
-    for (int64_t ky = 0; ky < g.kernel; ++ky) {
-      for (int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        float* out_row = cols + row * out_spatial;
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t iy = y * g.stride + ky - g.padding;
-          for (int64_t x = 0; x < ow; ++x) {
-            const int64_t ix = x * g.stride + kx - g.padding;
-            const bool inside =
-                iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
-            out_row[y * ow + x] = inside ? channel[iy * g.in_w + ix] : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
-void Col2ImScalar(const ops::Conv2dGeometry& g, const float* cols,
-                  float* img) {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t out_spatial = oh * ow;
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.in_channels; ++c) {
-    float* channel = img + c * g.in_h * g.in_w;
-    for (int64_t ky = 0; ky < g.kernel; ++ky) {
-      for (int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        const float* in_row = cols + row * out_spatial;
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t iy = y * g.stride + ky - g.padding;
-          if (iy < 0 || iy >= g.in_h) continue;
-          for (int64_t x = 0; x < ow; ++x) {
-            const int64_t ix = x * g.stride + kx - g.padding;
-            if (ix < 0 || ix >= g.in_w) continue;
-            channel[iy * g.in_w + ix] += in_row[y * ow + x];
-          }
-        }
-      }
-    }
-  }
-}
-
 // Per-channel accumulation in (row, channel, spatial) element order —
 // the order nn::BatchNorm's ForEachByChannel visits elements in.
 void BnMoments(int64_t rows, int64_t channels, int64_t spatial,
@@ -204,6 +157,15 @@ void BnBackwardInput(int64_t rows, int64_t channels, int64_t spatial,
   }
 }
 
+void TanhBwd(int64_t n, const float* y, const float* dy, float* dx) {
+  for (int64_t i = 0; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
+}
+
+}  // namespace
+
+// The activations have one implementation for every backend (see
+// kernels.h).
+
 void Relu(int64_t n, const float* x, float* y) {
   for (int64_t i = 0; i < n; ++i) y[i] = x[i] < 0.0f ? 0.0f : x[i];
 }
@@ -223,47 +185,31 @@ void LeakyReluBwd(int64_t n, float slope, const float* x, const float* dy,
   }
 }
 
-void TanhBwd(int64_t n, const float* y, const float* dy, float* dx) {
-  for (int64_t i = 0; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
+void TanhFwd(int64_t n, const float* x, float* y) {
+  for (int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+}
+
+void SigmoidFwd(int64_t n, const float* x, float* y) {
+  for (int64_t i = 0; i < n; ++i) y[i] = 1.0f / (1.0f + std::exp(-x[i]));
 }
 
 void SigmoidBwd(int64_t n, const float* y, const float* dy, float* dx) {
   for (int64_t i = 0; i < n; ++i) dx[i] = dy[i] * (y[i] * (1.0f - y[i]));
 }
 
-}  // namespace
-
-// libm forwards, shared with the avx2 backend (see kernels.h: there is
-// no bit-identical vector tanh/exp, so every backend calls libm).
-void TanhFwdLibm(int64_t n, const float* x, float* y) {
-  for (int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
-}
-
-void SigmoidFwdLibm(int64_t n, const float* x, float* y) {
-  for (int64_t i = 0; i < n; ++i) y[i] = 1.0f / (1.0f + std::exp(-x[i]));
-}
-
 const Backend& Scalar() {
   static const Backend backend = {
       "scalar",
-      /*fma=*/false,
       GemmNn,
       GemmNt,
       GemmTn,
-      Im2ColScalar,
-      Col2ImScalar,
+      ops::Im2Col,
+      ops::Col2Im,
       BnMoments,
       BnNormalize,
       BnBackwardReduce,
       BnBackwardInput,
-      Relu,
-      ReluBwd,
-      LeakyRelu,
-      LeakyReluBwd,
-      TanhFwdLibm,
       TanhBwd,
-      SigmoidFwdLibm,
-      SigmoidBwd,
   };
   return backend;
 }

@@ -1,16 +1,13 @@
-// Cross-version checkpoint compatibility (ISSUE satellite): a tiny
-// version-3 checkpoint committed under tests/data/ (written by
-// tools/make_golden_checkpoint) must keep loading under the current
-// reader, and SaveCompat(path, 3) must reproduce it byte for byte —
-// proving the legacy writer still emits the exact legacy format. The
-// comparison involves no float arithmetic (load + re-serialize only),
-// so it is platform-stable.
+// Cross-version checkpoint compatibility: tiny version-3 and version-5
+// checkpoints committed under tests/data/ must keep loading under the
+// current reader, sample the way their format says (a v3 file carries
+// no stream position), and upgrade to the current format without
+// changing a sampled bit. Only the current format is written, so these
+// fixtures are the whole record of the legacy layouts.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/table_gan.h"
@@ -26,13 +23,6 @@ namespace {
 const char kFixture[] = TABLEGAN_TEST_DATA_DIR "/tiny_v3.tgan";
 const char kFixtureV5[] = TABLEGAN_TEST_DATA_DIR "/tiny_v5.tgan";
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 TEST(CheckpointGoldenTest, V3FixtureLoads) {
   Result<core::TableGan> loaded = core::TableGan::Load(kFixture);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -42,18 +32,24 @@ TEST(CheckpointGoldenTest, V3FixtureLoads) {
   EXPECT_EQ(loaded->options().seed, 20260806u);
 }
 
-TEST(CheckpointGoldenTest, SaveCompatRoundTripsV3Bitwise) {
+// A v3 file has no sampling-stream counters, so the loaded model starts
+// the stream of its seed from row 0 (the pre-v4 behavior).
+TEST(CheckpointGoldenTest, V3FixtureSamplesFromStreamStart) {
   Result<core::TableGan> loaded = core::TableGan::Load(kFixture);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const std::string resaved = "golden_resaved_v3.tgan";
-  ASSERT_TRUE(loaded->SaveCompat(resaved, 3).ok());
-  const std::string golden_bytes = ReadFileBytes(kFixture);
-  const std::string resaved_bytes = ReadFileBytes(resaved);
-  std::remove(resaved.c_str());
-  ASSERT_FALSE(golden_bytes.empty());
-  EXPECT_EQ(golden_bytes.size(), resaved_bytes.size());
-  EXPECT_TRUE(golden_bytes == resaved_bytes)
-      << "v3 re-serialization diverged from the committed fixture";
+  Result<data::Table> range =
+      loaded->SampleRange(loaded->options().seed, 0, 14);
+  Result<data::Table> sampled = loaded->Sample(14);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+  ASSERT_EQ(range->num_rows(), 14);
+  ASSERT_EQ(range->num_columns(), sampled->num_columns());
+  for (int c = 0; c < range->num_columns(); ++c) {
+    for (int64_t r = 0; r < range->num_rows(); ++r) {
+      ASSERT_EQ(range->Get(r, c), sampled->Get(r, c))
+          << "v3 stream does not start at row 0: (" << r << ", " << c << ")";
+    }
+  }
 }
 
 TEST(CheckpointGoldenTest, V3UpgradesToV4AndSamplesIdentically) {
@@ -93,20 +89,6 @@ TEST(CheckpointGoldenTest, V5FixtureLoads) {
   // A pre-v6 model is unconditional and all-min-max by construction.
   EXPECT_FALSE(loaded->options().conditional);
   EXPECT_TRUE(loaded->options().gmm_columns.empty());
-}
-
-TEST(CheckpointGoldenTest, SaveCompatRoundTripsV5Bitwise) {
-  Result<core::TableGan> loaded = core::TableGan::Load(kFixtureV5);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const std::string resaved = "golden_resaved_v5.tgan";
-  ASSERT_TRUE(loaded->SaveCompat(resaved, 5).ok());
-  const std::string golden_bytes = ReadFileBytes(kFixtureV5);
-  const std::string resaved_bytes = ReadFileBytes(resaved);
-  std::remove(resaved.c_str());
-  ASSERT_FALSE(golden_bytes.empty());
-  EXPECT_EQ(golden_bytes.size(), resaved_bytes.size());
-  EXPECT_TRUE(golden_bytes == resaved_bytes)
-      << "v5 re-serialization diverged from the committed fixture";
 }
 
 TEST(CheckpointGoldenTest, V5UpgradesToV6AndSamplesIdentically) {

@@ -393,32 +393,23 @@ TEST(SampleStreamTest, StreamStateSurvivesSaveLoad) {
   ASSERT_TRUE(first.ok());
   ExpectRowsEqual(*all, 0, *first, "first 10 rows");
 
-  // Save mid-stream in both formats, then keep sampling.
-  const std::string v4_path = TempPath("stream_v4.tgan");
-  const std::string v3_path = TempPath("stream_v3.tgan");
-  ASSERT_TRUE(gan.Save(v4_path).ok());
-  ASSERT_TRUE(gan.SaveCompat(v3_path, 3).ok());
+  // Save mid-stream, then keep sampling.
+  const std::string path = TempPath("stream.tgan");
+  ASSERT_TRUE(gan.Save(path).ok());
   auto rest = gan.Sample(14);
   ASSERT_TRUE(rest.ok());
   ExpectRowsEqual(*all, 10, *rest, "rows 10-23 from the original");
 
-  // A v4 reload continues the stream exactly where the save left it.
-  auto v4 = TableGan::Load(v4_path);
-  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
-  auto v4_rest = v4->Sample(14);
-  ASSERT_TRUE(v4_rest.ok());
-  ExpectRowsEqual(*all, 10, *v4_rest, "rows 10-23 from the v4 reload");
+  // The reload continues the stream exactly where the save left it. (A
+  // v3 file, which has no stream counters, restarts it from row 0; see
+  // CheckpointGoldenTest.V3FixtureSamplesFromStreamStart.)
+  auto reloaded = TableGan::Load(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  auto reloaded_rest = reloaded->Sample(14);
+  ASSERT_TRUE(reloaded_rest.ok());
+  ExpectRowsEqual(*all, 10, *reloaded_rest, "rows 10-23 from the reload");
 
-  // A v3 file has no stream counters: the reload starts a fresh stream
-  // (the pre-v4 behavior) and replays rows 0-13.
-  auto v3 = TableGan::Load(v3_path);
-  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-  auto v3_rest = v3->Sample(14);
-  ASSERT_TRUE(v3_rest.ok());
-  ExpectRowsEqual(*all, 0, *v3_rest, "rows 0-13 from the v3 reload");
-
-  std::remove(v4_path.c_str());
-  std::remove(v3_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(SampleStreamTest, VersionedMagicBytes) {
@@ -427,24 +418,10 @@ TEST(SampleStreamTest, VersionedMagicBytes) {
       table.schema().ColumnsWithRole(data::ColumnRole::kLabel)[0];
   TableGan gan(FastOptions());
   ASSERT_TRUE(gan.Fit(table, label_col).ok());
-  const std::string v6_path = TempPath("magic_v6.tgan");
-  const std::string v5_path = TempPath("magic_v5.tgan");
-  const std::string v4_path = TempPath("magic_v4.tgan");
-  const std::string v3_path = TempPath("magic_v3.tgan");
-  ASSERT_TRUE(gan.Save(v6_path).ok());
-  ASSERT_TRUE(gan.SaveCompat(v5_path, 5).ok());
-  ASSERT_TRUE(gan.SaveCompat(v4_path, 4).ok());
-  ASSERT_TRUE(gan.SaveCompat(v3_path, 3).ok());
-  EXPECT_EQ(ReadFileBytes(v6_path).substr(0, 8), "TGAN0006");
-  EXPECT_EQ(ReadFileBytes(v5_path).substr(0, 8), "TGAN0005");
-  EXPECT_EQ(ReadFileBytes(v4_path).substr(0, 8), "TGAN0004");
-  EXPECT_EQ(ReadFileBytes(v3_path).substr(0, 8), "TGAN0003");
-  // An unsupported version number is rejected up front.
-  EXPECT_FALSE(gan.SaveCompat(TempPath("magic_v2.tgan"), 2).ok());
-  std::remove(v6_path.c_str());
-  std::remove(v5_path.c_str());
-  std::remove(v4_path.c_str());
-  std::remove(v3_path.c_str());
+  const std::string path = TempPath("magic_v6.tgan");
+  ASSERT_TRUE(gan.Save(path).ok());
+  EXPECT_EQ(ReadFileBytes(path).substr(0, 8), "TGAN0006");
+  std::remove(path.c_str());
 }
 
 TEST(MetricsTest, SinkAndCallbackSeeEveryEpoch) {

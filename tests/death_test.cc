@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "data/record_matrix.h"
 #include "ml/decision_tree.h"
 #include "nn/dense.h"
@@ -67,6 +70,26 @@ TEST(DeathTest, PredictBeforeFit) {
 TEST(DeathTest, RngRejectsZeroBound) {
   Rng rng(1);
   EXPECT_DEATH(rng.NextUint64(0), "Check failed");
+}
+
+// A malformed or out-of-range TABLEGAN_NUM_THREADS aborts naming the
+// value instead of meaning "auto" or starting thousands of threads. The
+// environment is set inside the death statement, so only the child sees
+// it, and only GetNumThreads() runs: no pool is started.
+TEST(DeathTest, BadThreadCountEnvironmentAborts) {
+  SetNumThreads(0);  // the environment is only read without an override
+  EXPECT_DEATH(
+      {
+        ::setenv("TABLEGAN_NUM_THREADS", "4x", 1);
+        (void)GetNumThreads();
+      },
+      "TABLEGAN_NUM_THREADS value '4x'");
+  EXPECT_DEATH(
+      {
+        ::setenv("TABLEGAN_NUM_THREADS", "5000", 1);
+        (void)GetNumThreads();
+      },
+      "TABLEGAN_NUM_THREADS value '5000'");
 }
 
 }  // namespace

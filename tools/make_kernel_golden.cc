@@ -1,12 +1,12 @@
 // Regenerates the kernel-golden CRCs asserted by
 // tests/kernel_parity_test.cc (KernelGoldenTest): the fixed-seed train +
-// Sample stream of the scalar backend, at thread counts 1 and 3. The
-// committed constants pin the scalar backend to the bits the kernels
-// produced before the dispatch layer existed; they are a property of
-// (source, compiler, flags, libm), so on a host with a different
-// toolchain run this under TABLEGAN_ISA=scalar and export the printed
-// values as TABLEGAN_KERNEL_GOLDEN_{LOSS,S33,S20} instead of editing the
-// test.
+// Sample stream of the selected backend, at thread counts 1 and 3. Run
+// it under TABLEGAN_ISA=scalar for the scalar CRCs — which pin the
+// scalar backend to the bits the kernels produced before the dispatch
+// layer existed — and under TABLEGAN_ISA=avx2 for the AVX2 ones. Both
+// are a property of (source, compiler, flags, libm); on a host with a
+// different toolchain export the printed scalar values as
+// TABLEGAN_KERNEL_GOLDEN_{LOSS,S33,S20} instead of editing the test.
 #include <cstdio>
 
 #include "common/crc32.h"

@@ -180,7 +180,6 @@ T Unwrap(Result<T> result) {
 }
 
 constexpr int64_t kMaxRows = int64_t{1} << 40;
-constexpr int64_t kMaxThreads = 4096;
 
 int CmdDemo(Args args) {
   const std::string name = args.Get("dataset", "adult");
