@@ -14,42 +14,12 @@
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
-#include "common/parallel.h"
-#include "common/stopwatch.h"
-#include "eval/fidelity.h"
 #include "privacy/condensation.h"
 
 namespace tablegan {
 namespace {
 
 constexpr int kCdfPoints = 11;
-
-// Thread-scaling sweep for the column-parallel fidelity metrics. Outputs
-// are bitwise identical at every thread count; throughput is pooled rows
-// (original + released) evaluated per second.
-void RunFidelityThreadSweep() {
-  bench::PrintHeader("Fidelity thread scaling (column-parallel KS/TV)");
-  Rng rng(19);
-  data::Table a = data::MakeAdultLike(4000, &rng);
-  data::Table b = data::MakeAdultLike(4000, &rng);
-  const std::vector<int> widths{10, 14, 16};
-  bench::PrintRow({"threads", "seconds", "rows/sec"}, widths);
-  for (int threads : {1, 2, 4, 8}) {
-    SetNumThreads(threads);
-    Stopwatch watch;
-    constexpr int kReps = 3;
-    for (int rep = 0; rep < kReps; ++rep) {
-      auto report = eval::EvaluateFidelity(a, b);
-      TABLEGAN_CHECK_OK(report.status());
-    }
-    const double secs = watch.ElapsedSeconds() / kReps;
-    const double rows = static_cast<double>(a.num_rows() + b.num_rows());
-    bench::PrintRow({std::to_string(threads), bench::FormatDouble(secs, 4),
-                     bench::FormatDouble(rows / secs, 0)},
-                    widths);
-  }
-  SetNumThreads(0);
-}
 
 void PrintSeries(const std::string& label, const std::vector<double>& cdf) {
   std::printf("  %-18s", label.c_str());
@@ -133,6 +103,5 @@ void Run() {
 
 int main() {
   tablegan::Run();
-  tablegan::RunFidelityThreadSweep();
   return 0;
 }

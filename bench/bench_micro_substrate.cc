@@ -8,11 +8,9 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/networks.h"
-#include "core/table_gan.h"
 #include "data/datasets.h"
 #include "data/normalizer.h"
 #include "data/record_matrix.h"
-#include "eval/fidelity.h"
 #include "nn/conv2d.h"
 #include "nn/conv_transpose2d.h"
 #include "nn/init.h"
@@ -191,92 +189,6 @@ void BM_ConvBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvBackward)->Arg(16)->Arg(64);
 
-// Thread-scaling sweep: the same kernels at 1/2/4/8 worker threads. Every
-// parallel kernel is bitwise deterministic, so the sweep measures pure
-// speedup, not a numerics trade-off. (On a single-core host the sweep
-// still runs the threaded code paths; the recorded speedup is ~1x.)
-
-void BM_GemmThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto n = static_cast<int64_t>(state.range(1));
-  SetNumThreads(threads);
-  Rng rng(1);
-  Tensor a = Tensor::Uniform({n, n}, -1, 1, &rng);
-  Tensor b = Tensor::Uniform({n, n}, -1, 1, &rng);
-  Tensor c({n, n});
-  for (auto _ : state) {
-    ops::Gemm(false, false, 1.0f, a, b, 0.0f, &c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  SetNumThreads(0);
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_GemmThreads)
-    ->ArgsProduct({{1, 2, 4, 8}, {128, 256}})
-    ->UseRealTime();
-
-void BM_ConvForwardThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  SetNumThreads(threads);
-  Rng rng(2);
-  // Mid-stack discriminator layer at DCGAN width: 32->64, k4 s2 p1.
-  nn::Conv2d conv(32, 64, 4, 2, 1);
-  nn::DcganInitialize(&conv, &rng);
-  Tensor x = Tensor::Uniform({64, 32, 16, 16}, -1, 1, &rng);
-  for (auto _ : state) {
-    Tensor y = conv.Forward(x, true);
-    benchmark::DoNotOptimize(y.data());
-  }
-  SetNumThreads(0);
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_ConvForwardThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
-
-void BM_ConvBackwardThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  SetNumThreads(threads);
-  Rng rng(3);
-  nn::Conv2d conv(32, 64, 4, 2, 1);
-  nn::DcganInitialize(&conv, &rng);
-  Tensor x = Tensor::Uniform({64, 32, 16, 16}, -1, 1, &rng);
-  Tensor y = conv.Forward(x, true);
-  Tensor grad = Tensor::Uniform(y.shape(), -1, 1, &rng);
-  for (auto _ : state) {
-    conv.ZeroGrad();
-    Tensor gx = conv.Backward(grad);
-    benchmark::DoNotOptimize(gx.data());
-  }
-  SetNumThreads(0);
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_ConvBackwardThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
-
-void BM_ConvTransposeForwardThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  SetNumThreads(threads);
-  Rng rng(4);
-  // Mid-stack generator layer: 64->32 upsampling, k4 s2 p1.
-  nn::ConvTranspose2d deconv(64, 32, 4, 2, 1);
-  nn::DcganInitialize(&deconv, &rng);
-  Tensor x = Tensor::Uniform({64, 64, 8, 8}, -1, 1, &rng);
-  for (auto _ : state) {
-    Tensor y = deconv.Forward(x, true);
-    benchmark::DoNotOptimize(y.data());
-  }
-  SetNumThreads(0);
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_ConvTransposeForwardThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
-
 void BM_GeneratorSample(benchmark::State& state) {
   Rng rng(4);
   auto g = core::BuildGenerator(/*side=*/8, /*latent_dim=*/32,
@@ -320,75 +232,6 @@ void BM_DcrSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows * rows);
 }
 BENCHMARK(BM_DcrSearch)->Arg(256)->Arg(1024);
-
-// Evaluation-pipeline thread sweeps: DCR search, per-column fidelity and
-// generator sampling at 1/2/4/8 workers. items_per_second reads as
-// row-pairs/sec (DCR), rows/sec (fidelity over pooled rows), and
-// synthetic rows/sec (sampling).
-
-void BM_DcrSearchThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto rows = static_cast<int64_t>(state.range(1));
-  SetNumThreads(threads);
-  Rng rng(6);
-  data::Table a = data::MakeAdultLike(rows, &rng);
-  data::Table b = data::MakeAdultLike(rows, &rng);
-  const auto cols = privacy::QidAndSensitiveColumns(a.schema());
-  for (auto _ : state) {
-    auto dcr = privacy::ComputeDcr(a, b, cols);
-    benchmark::DoNotOptimize(dcr->mean);
-  }
-  SetNumThreads(0);
-  state.SetItemsProcessed(state.iterations() * rows * rows);
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_DcrSearchThreads)
-    ->ArgsProduct({{1, 2, 4, 8}, {1024}})
-    ->UseRealTime();
-
-void BM_FidelityThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  SetNumThreads(threads);
-  Rng rng(7);
-  data::Table a = data::MakeAdultLike(2000, &rng);
-  data::Table b = data::MakeAdultLike(2000, &rng);
-  for (auto _ : state) {
-    auto report = eval::EvaluateFidelity(a, b);
-    benchmark::DoNotOptimize(report->mean_ks);
-  }
-  SetNumThreads(0);
-  state.SetItemsProcessed(state.iterations() * (a.num_rows() + b.num_rows()));
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_FidelityThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_SampleThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  Rng rng(8);
-  data::Table table = data::MakeAdultLike(128, &rng);
-  const auto labels =
-      table.schema().ColumnsWithRole(data::ColumnRole::kLabel);
-  core::TableGanOptions options;
-  options.epochs = 1;
-  options.batch_size = 32;
-  options.base_channels = 8;
-  options.latent_dim = 16;
-  options.seed = 9;
-  options.num_threads = threads;
-  core::TableGan gan(options);
-  if (!gan.Fit(table, labels[0]).ok()) {
-    state.SkipWithError("Fit failed");
-    return;
-  }
-  const int64_t rows = 512;
-  for (auto _ : state) {
-    auto samples = gan.Sample(rows);
-    benchmark::DoNotOptimize(samples->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_SampleThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace
 }  // namespace tablegan

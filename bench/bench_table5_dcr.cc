@@ -11,42 +11,12 @@
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
-#include "common/parallel.h"
-#include "common/stopwatch.h"
 #include "privacy/anonymizer.h"
 #include "privacy/dcr.h"
 #include "privacy/sdc_micro.h"
 
 namespace tablegan {
 namespace {
-
-// Thread-scaling sweep for the parallel DCR kernel: same inputs and
-// bitwise-identical outputs at every thread count, so the sweep measures
-// pure speedup. Throughput is original-rows scanned per second.
-void RunThreadSweep() {
-  bench::PrintHeader("DCR thread scaling (parallel NN kernel)");
-  Rng rng(17);
-  data::Table a = data::MakeAdultLike(2048, &rng);
-  data::Table b = data::MakeAdultLike(2048, &rng);
-  const auto cols = privacy::QidAndSensitiveColumns(a.schema());
-  const std::vector<int> widths{10, 14, 16};
-  bench::PrintRow({"threads", "seconds", "rows/sec"}, widths);
-  for (int threads : {1, 2, 4, 8}) {
-    SetNumThreads(threads);
-    Stopwatch watch;
-    constexpr int kReps = 3;
-    for (int rep = 0; rep < kReps; ++rep) {
-      auto dcr = privacy::ComputeDcr(a, b, cols);
-      TABLEGAN_CHECK_OK(dcr.status());
-    }
-    const double secs = watch.ElapsedSeconds() / kReps;
-    bench::PrintRow({std::to_string(threads), bench::FormatDouble(secs, 4),
-                     bench::FormatDouble(
-                         static_cast<double>(a.num_rows()) / secs, 0)},
-                    widths);
-  }
-  SetNumThreads(0);
-}
 
 void Run() {
   bench::PrintHeader("Table 5: DCR (mean +/- std, normalized Euclidean)");
@@ -117,6 +87,5 @@ void Run() {
 
 int main() {
   tablegan::Run();
-  tablegan::RunThreadSweep();
   return 0;
 }

@@ -1,6 +1,7 @@
 #ifndef TABLEGAN_CORE_TABLE_GAN_H_
 #define TABLEGAN_CORE_TABLE_GAN_H_
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -15,13 +16,7 @@
 #include "tensor/workspace.h"
 
 namespace tablegan {
-namespace nn {
-class Adam;
-class SpectralNormRegularizer;
-}  // namespace nn
 namespace core {
-
-class InfoLossState;
 
 /// Per-epoch training telemetry.
 struct EpochStats {
@@ -149,32 +144,51 @@ class TableGan {
   const std::vector<int>& label_cols() const { return label_cols_; }
 
  private:
-  /// Borrowed views of the mutable mid-training state a checkpoint must
-  /// capture beyond the model itself (see DESIGN.md §9 for the format).
-  struct TrainingState {
-    int epochs_completed = 0;
-    nn::Adam* adam_g = nullptr;
-    nn::Adam* adam_d = nullptr;
-    nn::Adam* adam_c = nullptr;
-    InfoLossState* info = nullptr;
-    /// v5 additions; null / zero with pre-v5 files or when the feature
-    /// is off (guard always exists during Fit, sn only in kSpectralNorm
-    /// mode).
-    DivergenceGuard* guard = nullptr;
-    nn::SpectralNormRegularizer* sn = nullptr;
-    int64_t rollbacks_used = 0;
-  };
+  struct TrainingState;  // Fit's state beyond the model: training_state.h
+  struct Batch;  // row order, mini-batch and update scratch: table_gan.cc
 
-  /// Serializes the model — plus the training section when `train` is
-  /// non-null — to `path` atomically with a CRC-32 footer, in the current
-  /// on-disk format (v6; Load also reads v3–v5).
-  Status SaveImpl(const std::string& path, const TrainingState* train) const;
+  /// Writes the model, plus the training section when `train` is
+  /// non-null, into `*out` (cleared, capacity kept) in format v6 without
+  /// the CRC footer: the one list of what a checkpoint holds. SaveImpl
+  /// writes these bytes to disk; the divergence guard keeps them in
+  /// memory as its last-good snapshot.
+  void Serialize(TrainingState* train, std::string* out) const;
+  Status SaveImpl(const std::string& path, TrainingState* train) const;
 
-  /// Restores the training section of a checkpoint into this partially
-  /// initialized model (networks and optimizers already built by Fit).
-  /// Rejects checkpoints whose options, schema or normalizer bounds do
-  /// not match the current run.
-  Status RestoreTrainingState(const std::string& path, TrainingState* train);
+  /// Restores a training section into this partially initialized model
+  /// from the checkpoint file at `path`, or, when `snapshot` is non-null,
+  /// from Serialize's bytes (`path` then only names them in errors).
+  /// Rejects sources whose options, schema or normalizer bounds do not
+  /// match the current run.
+  Status RestoreTrainingState(const std::string& path, TrainingState* train,
+                              const std::string* snapshot = nullptr);
+
+  /// Fit's stages after validation: fit the record encoding and build the
+  /// networks; train one epoch over the shuffled rows, timed into `*m`;
+  /// after a guard trigger on `epoch` (1-based), restore `last_good`,
+  /// write the auto-checkpoint, then arm a retry (OK) or halt with the
+  /// model fitted.
+  Status SetUpModel(const data::TableView& table);
+  void RunEpoch(const data::TableView& table, TrainingState* state,
+                Batch* batch, EpochStats* stats, TrainingMetrics* m);
+  Status HandleDivergence(const std::string& last_good, int epoch,
+                          const std::string& anomaly, TrainingState* state);
+
+  /// One mini-batch of Algorithm 2: encode the real rows (line 6), then
+  /// one optimizer step each for D (line 8), C (line 9) and G (lines
+  /// 10-14), each adding its loss terms to `*stats`. FillLatent draws the
+  /// latent input, with the real rows' label cells on a conditional
+  /// model; WganCriticGradients is kWganGp's critic loss and gradients.
+  void AssembleBatch(const data::TableView& table, const int64_t* rows,
+                     int64_t n, Batch* batch) const;
+  void FillLatent(Batch* batch);
+  void UpdateDiscriminator(TrainingState* state, Batch* batch,
+                           EpochStats* stats);
+  float WganCriticGradients(TrainingState* state, const Tensor& fake,
+                            Batch* batch);
+  void UpdateClassifier(TrainingState* state, Batch* batch,
+                        EpochStats* stats);
+  void UpdateGenerator(TrainingState* state, Batch* batch, EpochStats* stats);
 
   /// Zeroes every label cell of every record matrix — remove(.) in Eq. 5.
   /// Writes the masked copy into `*out` (resized as needed).
@@ -191,6 +205,14 @@ class TableGan {
   Result<data::Table> GenerateRows(uint64_t stream_seed, uint64_t first,
                                    int64_t n,
                                    const double* fixed_label = nullptr) const;
+
+  /// The five networks in checkpoint order: generator, discriminator
+  /// features and head, classifier features and head.
+  std::array<nn::Sequential*, 5> Networks() const {
+    return {generator_.get(), discriminator_.features.get(),
+            discriminator_.head.get(), classifier_.features.get(),
+            classifier_.head.get()};
+  }
 
   /// Width of the conditioning vector appended to the latent input: one
   /// cell per label column when options.conditional, else 0.

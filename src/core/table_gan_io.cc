@@ -1,32 +1,15 @@
 // Binary persistence for trained table-GAN models (TableGan::Save /
-// TableGan::Load) and mid-training checkpoints (see DESIGN.md §9).
+// TableGan::Load), mid-training checkpoints and the divergence guard's
+// in-memory last-good snapshot. DESIGN.md §9 lists the fields.
 //
-// Format v5: magic "TGAN0005", then the model section (options — since
-// v5 including the loss mode, penalty weights and guardrail settings —
-// schema, normalizer bounds, the sampling-stream counters, the
-// parameter and buffer tensors of the generator, discriminator and
-// classifier in construction order), then an optional training section
-// (epoch counter, RNG stream, Adam moments + bias-correction powers,
-// info-loss EWMA statistics, since v5 the divergence-guard EWMA state,
-// rollback counter and spectral-norm power-iteration vectors, loss
-// history), then a CRC-32 footer over everything before it. Files are
-// written to a temp name and renamed into place so a crash mid-write
-// never leaves a half-written file at the target path, and Load
-// verifies the CRC before parsing a single field.
-//
-// Format v6 appends the record-encoding and conditioning section to the
-// model header: the conditional flag, the GMM column selection with
-// every fitted mixture's components, and — for conditional models — the
-// per-label-column level vocabulary with empirical frequencies
-// (DESIGN.md §16). Models using only the defaults carry an all-min-max
-// spec table and load bitwise identical to their v5 selves.
-//
-// Only v6 is written. Version-5 files (no encoding/conditioning
-// section: min-max everywhere, unconditional), version-4 files
-// (additionally no loss-mode/guardrail fields: the loaded model runs the
-// default DCGAN loss with a fresh guard) and version-3 files
-// (additionally no sampling-stream counters and no Adam powers) are
-// still read; committed fixtures under tests/data/ pin those readers.
+// TableGan::Serialize writes format v6: magic "TGAN0006", the model
+// section, then an optional training section. Files add a CRC-32 footer
+// over everything before it, are written to a temp name and renamed into
+// place so a crash mid-write never leaves a half-written file, and are
+// CRC-checked before a single field is parsed. Readers also accept v5
+// (no encoding/conditioning section), v4 (additionally no loss-mode or
+// guard fields) and v3 (additionally no sampling-stream counters or Adam
+// powers); committed fixtures under tests/data/ pin those readers.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -34,13 +17,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <string_view>
 
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/io_retry.h"
-#include "core/info_loss.h"
 #include "core/table_gan.h"
+#include "core/training_state.h"
 #include "nn/optimizer.h"
 #include "nn/spectral_norm.h"
 
@@ -57,76 +40,70 @@ constexpr size_t kMagicSize = sizeof(kMagicV4);
 constexpr size_t kFooterSize = sizeof(uint32_t);
 
 // --- primitive writers/readers (little-endian host assumed; the format
-// is a cache, not an interchange format).
+// is a cache, not an interchange format). Writers append to one string,
+// so the guard's snapshot buffer keeps its capacity across epochs.
 
-void WriteI64(std::ostream& out, int64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+template <typename T>
+void WritePod(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void WriteU64(std::ostream& out, uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
+void WriteI64(std::string& out, int64_t v) { WritePod(out, v); }
+void WriteU64(std::string& out, uint64_t v) { WritePod(out, v); }
+void WriteF32(std::string& out, float v) { WritePod(out, v); }
+void WriteF64(std::string& out, double v) { WritePod(out, v); }
 
-void WriteF32(std::ostream& out, float v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteF64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteString(std::ostream& out, const std::string& s) {
+void WriteString(std::string& out, const std::string& s) {
   WriteI64(out, static_cast<int64_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
+  out.append(s);
 }
 
-void WriteTensor(std::ostream& out, const Tensor& t) {
+void WriteTensor(std::string& out, const Tensor& t) {
   WriteI64(out, t.rank());
   for (int64_t d : t.shape()) WriteI64(out, d);
-  out.write(reinterpret_cast<const char*>(t.data()),
-            static_cast<std::streamsize>(t.size() * sizeof(float)));
+  out.append(reinterpret_cast<const char*>(t.data()),
+             static_cast<size_t>(t.size()) * sizeof(float));
 }
 
-bool ReadI64(std::istream& in, int64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
+// Bounds-checked cursor over serialized bytes; every read past the end
+// fails.
+class Reader {
+ public:
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
+  bool Read(void* dst, size_t n) {
+    if (n > bytes_.size() - pos_) return false;
+    std::memcpy(dst, bytes_.data() + pos_, n);
+    pos_ += n;
+    return true;
+  }
 
-bool ReadU64(std::istream& in, uint64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
+ private:
+  std::string_view bytes_;
+  size_t pos_ = 0;
+};
 
-bool ReadF32(std::istream& in, float* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
+bool ReadI64(Reader& in, int64_t* v) { return in.Read(v, sizeof(*v)); }
+bool ReadU64(Reader& in, uint64_t* v) { return in.Read(v, sizeof(*v)); }
+bool ReadF32(Reader& in, float* v) { return in.Read(v, sizeof(*v)); }
+bool ReadF64(Reader& in, double* v) { return in.Read(v, sizeof(*v)); }
 
-bool ReadF64(std::istream& in, double* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
-
-bool ReadString(std::istream& in, std::string* s) {
+bool ReadString(Reader& in, std::string* s) {
   int64_t n = 0;
   if (!ReadI64(in, &n) || n < 0 || n > (1 << 20)) return false;
   s->resize(static_cast<size_t>(n));
-  in.read(s->data(), n);
-  return static_cast<bool>(in);
+  return in.Read(s->data(), static_cast<size_t>(n));
 }
 
 // Reads a tensor into `*t`, which must already have the expected shape
 // (the architecture is rebuilt from options before loading weights).
-bool ReadTensorInto(std::istream& in, Tensor* t) {
+bool ReadTensorInto(Reader& in, Tensor* t) {
   int64_t rank = 0;
   if (!ReadI64(in, &rank) || rank != t->rank()) return false;
   for (int i = 0; i < t->rank(); ++i) {
     int64_t d = 0;
     if (!ReadI64(in, &d) || d != t->dim(i)) return false;
   }
-  in.read(reinterpret_cast<char*>(t->data()),
-          static_cast<std::streamsize>(t->size() * sizeof(float)));
-  return static_cast<bool>(in);
+  return in.Read(t->data(), static_cast<size_t>(t->size()) * sizeof(float));
 }
 
 std::vector<Tensor*> AllState(nn::Sequential* net) {
@@ -135,7 +112,7 @@ std::vector<Tensor*> AllState(nn::Sequential* net) {
   return out;
 }
 
-bool ReadNet(std::istream& in, nn::Sequential* net) {
+bool ReadNet(Reader& in, nn::Sequential* net) {
   for (Tensor* t : AllState(net)) {
     if (!ReadTensorInto(in, t)) return false;
   }
@@ -185,10 +162,10 @@ Status AtomicWriteFile(const std::string& path, std::string payload) {
 
 // Reads the whole file, checks magic, version and the CRC-32 footer.
 // On success `*contents` holds the full file, `*version` the on-disk
-// format version (3 to 6), and `*in` is positioned just past the
-// magic.
+// format version (3 to 6), and `*body` views the bytes between the magic
+// and the footer.
 Status ReadVerifiedFile(const std::string& path, std::string* contents,
-                        std::istringstream* in, int* version) {
+                        std::string_view* body, int* version) {
   if (TABLEGAN_FAILPOINT("checkpoint.open_read")) {
     return Status::IOError("cannot open for read: " + path);
   }
@@ -220,14 +197,13 @@ Status ReadVerifiedFile(const std::string& path, std::string* contents,
                          kMagicSize - sizeof(kMagicPrefix)) +
         "' (this build reads versions 0003-0006): " + path);
   }
-  const size_t body = contents->size() - kFooterSize;
+  const size_t end = contents->size() - kFooterSize;
   uint32_t stored = 0;
-  std::memcpy(&stored, contents->data() + body, kFooterSize);
-  if (Crc32(contents->data(), body) != stored) {
+  std::memcpy(&stored, contents->data() + end, kFooterSize);
+  if (Crc32(contents->data(), end) != stored) {
     return Status::IOError("corrupt model file (CRC mismatch): " + path);
   }
-  in->str(contents->substr(0, body));
-  in->seekg(kMagicSize);
+  *body = std::string_view(*contents).substr(kMagicSize, end - kMagicSize);
   return Status::OK();
 }
 
@@ -252,7 +228,7 @@ struct Header {
   std::vector<std::vector<double>> label_level_freqs;
 };
 
-bool ReadHeader(std::istream& in, int version, Header* h) {
+bool ReadHeader(Reader& in, int version, Header* h) {
   int64_t v = 0;
   float f = 0.0f;
   TableGanOptions& o = h->options;
@@ -423,7 +399,7 @@ bool SameF32(double a, double b) {
   return ua == ub || fa == fb;
 }
 
-bool ReadAdam(std::istream& in, int version, nn::Adam* adam) {
+bool ReadAdam(Reader& in, int version, nn::Adam* adam) {
   int64_t t = 0;
   if (!ReadI64(in, &t) || t < 0) return false;
   // Recomputes the bias-correction powers from t; v4 then overwrites
@@ -440,19 +416,19 @@ bool ReadAdam(std::istream& in, int version, nn::Adam* adam) {
   return true;
 }
 
-void WriteAdam(std::ostream& out, nn::Adam* adam) {
-  WriteI64(out, adam->step_count());
-  WriteF64(out, adam->beta1_power());
-  WriteF64(out, adam->beta2_power());
-  for (Tensor* m : adam->MomentTensors()) WriteTensor(out, *m);
+void WriteAdam(std::string& out, nn::Adam& adam) {
+  WriteI64(out, adam.step_count());
+  WriteF64(out, adam.beta1_power());
+  WriteF64(out, adam.beta2_power());
+  for (Tensor* m : adam.MomentTensors()) WriteTensor(out, *m);
 }
 
 }  // namespace
 
-Status TableGan::SaveImpl(const std::string& path,
-                          const TrainingState* train) const {
-  std::ostringstream out;
-  out.write(kMagicV6, kMagicSize);
+void TableGan::Serialize(TrainingState* train, std::string* buffer) const {
+  std::string& out = *buffer;
+  out.clear();
+  out.append(kMagicV6, kMagicSize);
 
   // Options: the fields that shape the architecture, sampling and the
   // training trajectory (resume validates all of them).
@@ -544,16 +520,11 @@ Status TableGan::SaveImpl(const std::string& path,
   }
 
   // Network state.
-  auto write_net = [&out](nn::Sequential* net) {
+  for (nn::Sequential* net : Networks()) {
     for (Tensor* t : AllState(net)) WriteTensor(out, *t);
-  };
-  write_net(generator_.get());
-  write_net(discriminator_.features.get());
-  write_net(discriminator_.head.get());
-  write_net(classifier_.features.get());
-  write_net(classifier_.head.get());
+  }
 
-  // Training section (mid-training checkpoints only).
+  // Training section (mid-training checkpoints and the guard's snapshot).
   WriteI64(out, train != nullptr ? 1 : 0);
   if (train != nullptr) {
     WriteI64(out, train->epochs_completed);
@@ -564,14 +535,13 @@ Status TableGan::SaveImpl(const std::string& path,
     WriteAdam(out, train->adam_g);
     WriteAdam(out, train->adam_d);
     WriteAdam(out, train->adam_c);
-    WriteI64(out, train->info->initialized() ? 1 : 0);
-    for (Tensor* t : train->info->EwmaTensors()) WriteTensor(out, *t);
+    WriteI64(out, train->info.initialized() ? 1 : 0);
+    for (Tensor* t : train->info.EwmaTensors()) WriteTensor(out, *t);
     // Divergence-guard state, rollback budget spent, and the spectral-norm
     // power-iteration vectors (u then v per bound weight, binding order).
-    WriteF64(out, train->guard != nullptr ? train->guard->ewma() : 0.0);
-    WriteF64(out, train->guard != nullptr ? train->guard->baseline() : 0.0);
-    WriteI64(out,
-             train->guard != nullptr ? train->guard->observed_epochs() : 0);
+    WriteF64(out, train->guard.ewma());
+    WriteF64(out, train->guard.baseline());
+    WriteI64(out, train->guard.observed_epochs());
     WriteI64(out, train->rollbacks_used);
     std::vector<Tensor*> sn_state;
     if (train->sn != nullptr) sn_state = train->sn->StateTensors();
@@ -587,10 +557,13 @@ Status TableGan::SaveImpl(const std::string& path,
       WriteF32(out, s.l_sd);
     }
   }
+}
 
-  std::string payload = std::move(out).str();
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  payload.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+Status TableGan::SaveImpl(const std::string& path,
+                          TrainingState* train) const {
+  std::string payload;
+  Serialize(train, &payload);
+  WritePod(payload, Crc32(payload.data(), payload.size()));
   return AtomicWriteFile(path, std::move(payload));
 }
 
@@ -601,9 +574,10 @@ Status TableGan::Save(const std::string& path) const {
 
 Result<TableGan> TableGan::Load(const std::string& path) {
   std::string contents;
-  std::istringstream in;
+  std::string_view body;
   int version = 0;
-  TABLEGAN_RETURN_NOT_OK(ReadVerifiedFile(path, &contents, &in, &version));
+  TABLEGAN_RETURN_NOT_OK(ReadVerifiedFile(path, &contents, &body, &version));
+  Reader in(body);
   const auto corrupt = [&path]() {
     return Status::IOError("corrupt model file: " + path);
   };
@@ -643,12 +617,8 @@ Result<TableGan> TableGan::Load(const std::string& path) {
   gan.classifier_ =
       BuildDiscriminator(gan.side_, h.options.base_channels, &init_rng,
                          static_cast<int>(gan.label_cols_.size()));
-  if (!ReadNet(in, gan.generator_.get()) ||
-      !ReadNet(in, gan.discriminator_.features.get()) ||
-      !ReadNet(in, gan.discriminator_.head.get()) ||
-      !ReadNet(in, gan.classifier_.features.get()) ||
-      !ReadNet(in, gan.classifier_.head.get())) {
-    return corrupt();
+  for (nn::Sequential* net : gan.Networks()) {
+    if (!ReadNet(in, net)) return corrupt();
   }
   int64_t has_training = 0;
   if (!ReadI64(in, &has_training)) return corrupt();
@@ -657,11 +627,18 @@ Result<TableGan> TableGan::Load(const std::string& path) {
 }
 
 Status TableGan::RestoreTrainingState(const std::string& path,
-                                      TrainingState* train) {
+                                      TrainingState* train,
+                                      const std::string* snapshot) {
   std::string contents;
-  std::istringstream in;
-  int version = 0;
-  TABLEGAN_RETURN_NOT_OK(ReadVerifiedFile(path, &contents, &in, &version));
+  std::string_view body;
+  int version = 6;  // what Serialize writes
+  if (snapshot != nullptr) {
+    body = std::string_view(*snapshot).substr(kMagicSize);
+  } else {
+    TABLEGAN_RETURN_NOT_OK(
+        ReadVerifiedFile(path, &contents, &body, &version));
+  }
+  Reader in(body);
   const auto corrupt = [&path]() {
     return Status::IOError("corrupt checkpoint file: " + path);
   };
@@ -762,12 +739,8 @@ Status TableGan::RestoreTrainingState(const std::string& path,
     sample_rows_emitted_ = h.sample_rows_emitted;
   }
 
-  if (!ReadNet(in, generator_.get()) ||
-      !ReadNet(in, discriminator_.features.get()) ||
-      !ReadNet(in, discriminator_.head.get()) ||
-      !ReadNet(in, classifier_.features.get()) ||
-      !ReadNet(in, classifier_.head.get())) {
-    return corrupt();
+  for (nn::Sequential* net : Networks()) {
+    if (!ReadNet(in, net)) return corrupt();
   }
 
   int64_t has_training = 0;
@@ -788,14 +761,14 @@ Status TableGan::RestoreTrainingState(const std::string& path,
   rs.has_cached_gaussian = v != 0;
   if (!ReadF64(in, &rs.cached_gaussian)) return corrupt();
   rng_.set_state(rs);
-  if (!ReadAdam(in, version, train->adam_g) ||
-      !ReadAdam(in, version, train->adam_d) ||
-      !ReadAdam(in, version, train->adam_c)) {
+  if (!ReadAdam(in, version, &train->adam_g) ||
+      !ReadAdam(in, version, &train->adam_d) ||
+      !ReadAdam(in, version, &train->adam_c)) {
     return corrupt();
   }
   if (!ReadI64(in, &v)) return corrupt();
-  train->info->set_initialized(v != 0);
-  for (Tensor* t : train->info->EwmaTensors()) {
+  train->info.set_initialized(v != 0);
+  for (Tensor* t : train->info.EwmaTensors()) {
     if (!ReadTensorInto(in, t)) return corrupt();
   }
   if (version >= 5) {
@@ -805,9 +778,7 @@ Status TableGan::RestoreTrainingState(const std::string& path,
         !ReadI64(in, &observed) || observed < 0) {
       return corrupt();
     }
-    if (train->guard != nullptr) {
-      train->guard->Restore(ewma, baseline, observed);
-    }
+    train->guard.Restore(ewma, baseline, observed);
     if (!ReadI64(in, &train->rollbacks_used) || train->rollbacks_used < 0) {
       return corrupt();
     }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/io_retry.h"
 #include "common/metrics.h"
 #include "core/table_gan.h"
 #include "data/datasets.h"
@@ -276,6 +277,50 @@ TEST_F(GuardrailFitTest, InjectedNanHaltsWithLoadableAutoCheckpoint) {
   Result<data::Table> sample = loaded->Sample(8);
   ASSERT_TRUE(sample.ok()) << sample.status().ToString();
   EXPECT_EQ(sample->num_rows(), 8);
+}
+
+TEST_F(GuardrailFitTest, HaltedModelIsTheLastGoodEpochBitForBit) {
+  std::filesystem::create_directories(dir_);
+  data::Table table = SmallTable();
+  const int label =
+      table.schema().ColumnsWithRole(data::ColumnRole::kLabel)[0];
+  for (core::LossMode mode :
+       {core::LossMode::kDcgan, core::LossMode::kWganGp,
+        core::LossMode::kSpectralNorm}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    core::TableGanOptions options = GuardOptions();
+    options.checkpoint_dir.clear();
+    options.loss_mode = mode;
+    options.divergence_action = core::DivergenceAction::kHalt;
+
+    // Epoch 3 diverges. With no checkpoint_dir the halted model itself
+    // is the only copy of the last-good state, so it must save and
+    // sample like any fitted model.
+    const std::string halted_path = dir_ + "/halted.tgan";
+    {
+      failpoint::Scoped fp("train.loss_nan", "after(2)");
+      core::TableGan gan(options);
+      const Status fit = gan.Fit(table, label);
+      ASSERT_FALSE(fit.ok());
+      EXPECT_NE(fit.ToString().find("last-good state"), std::string::npos);
+      ASSERT_TRUE(gan.fitted());
+      ASSERT_TRUE(gan.Save(halted_path).ok());
+      EXPECT_TRUE(gan.SampleRange(options.seed, 0, 4).ok());
+      EXPECT_TRUE(gan.DiscriminatorScores(table).ok());
+    }
+
+    // The restore is exact: the halted model is byte for byte the model
+    // of an uninterrupted 2-epoch run.
+    const std::string two_epoch_path = dir_ + "/two_epochs.tgan";
+    options.epochs = 2;
+    core::TableGan gan(options);
+    ASSERT_TRUE(gan.Fit(table, label).ok());
+    ASSERT_TRUE(gan.Save(two_epoch_path).ok());
+    Result<std::string> halted = io::ReadWholeFile(halted_path);
+    Result<std::string> two_epochs = io::ReadWholeFile(two_epoch_path);
+    ASSERT_TRUE(halted.ok() && two_epochs.ok());
+    EXPECT_TRUE(*halted == *two_epochs);
+  }
 }
 
 TEST_F(GuardrailFitTest, RollbackRetriesTheEpochAndCompletes) {

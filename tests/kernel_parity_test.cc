@@ -836,7 +836,11 @@ uint32_t TableCrc(const data::Table& t) {
   return crc;
 }
 
-EndToEndCrcs TrainAndSampleCrcs(int threads) {
+// Changes one option of the golden run to send it down another
+// training path (loss mode, baseline, conditioning/GMM encoding).
+using OptionTweak = void (*)(const data::Schema&, core::TableGanOptions*);
+
+EndToEndCrcs TrainAndSampleCrcs(int threads, OptionTweak tweak = nullptr) {
   Rng rng(77);
   data::Table table = data::MakeAdultLike(96, &rng);
   const auto labels = table.schema().ColumnsWithRole(data::ColumnRole::kLabel);
@@ -850,6 +854,7 @@ EndToEndCrcs TrainAndSampleCrcs(int threads) {
   options.use_classifier = true;
   options.num_threads = threads;
   options.verbose = false;
+  if (tweak != nullptr) tweak(table.schema(), &options);
   core::TableGan gan(options);
   Status fit = gan.Fit(table, labels[0]);
   EXPECT_TRUE(fit.ok()) << fit.ToString();
@@ -930,6 +935,71 @@ TEST(KernelGoldenTest, Avx2BackendMatchesGoldensAtAnyThreadCount) {
     EXPECT_EQ(got.loss, kAvx2GoldenLossCrc) << "loss CRC";
     EXPECT_EQ(got.sample33, kAvx2GoldenSample33Crc) << "Sample(33) CRC";
     EXPECT_EQ(got.sample20, kAvx2GoldenSample20Crc) << "Sample(20) CRC";
+  }
+}
+
+// The same run down the training paths the default options skip, one
+// option changed per path, recorded on the toolchain of the goldens
+// above. Each path is also thread-count invariant on both backends,
+// which holds on any toolchain.
+struct PathGolden {
+  const char* name;
+  OptionTweak tweak;
+  EndToEndCrcs scalar;
+  EndToEndCrcs avx2;
+};
+
+const PathGolden kPathGoldens[] = {
+    {"wgan-gp",
+     [](const data::Schema&, core::TableGanOptions* o) {
+       o->loss_mode = core::LossMode::kWganGp;
+     },
+     {0x08c2abdfu, 0xc95f07d7u, 0xb9c1ec82u},
+     {0x3eb2ddd6u, 0x49d22df8u, 0x32b47d5eu}},
+    {"spectral-norm",
+     [](const data::Schema&, core::TableGanOptions* o) {
+       o->loss_mode = core::LossMode::kSpectralNorm;
+     },
+     {0x6b73ec20u, 0x55dd6eb3u, 0xa203be80u},
+     {0x6b73ec20u, 0x8d54782cu, 0x7cc9154eu}},
+    {"dcgan-baseline",
+     [](const data::Schema&, core::TableGanOptions* o) {
+       o->use_info_loss = false;
+       o->use_classifier = false;
+     },
+     {0x66a3ad21u, 0x68db8403u, 0xf8718e51u},
+     {0x66a3ad21u, 0x7364300cu, 0x43cf7e31u}},
+    {"conditional-gmm",
+     [](const data::Schema& schema, core::TableGanOptions* o) {
+       o->conditional = true;
+       o->gmm_columns = {*schema.FindColumn("capital_gain")};
+     },
+     {0xc7da39b0u, 0xfbd2a683u, 0x1580687bu},
+     {0xc7da39b0u, 0x42873ee2u, 0xad8a7ea9u}},
+};
+
+TEST(KernelGoldenTest, OtherTrainingPathsMatchGoldens) {
+  const bool check_crcs =
+      std::getenv("TABLEGAN_SKIP_KERNEL_GOLDEN") == nullptr;
+  for (const Backend* backend : {&kernels::Scalar(), kernels::Avx2()}) {
+    if (backend == nullptr) continue;  // no AVX2 on this host
+    BackendGuard guard(backend);
+    for (const PathGolden& path : kPathGoldens) {
+      SCOPED_TRACE(std::string(path.name) + " on " + backend->name);
+      const EndToEndCrcs t1 = TrainAndSampleCrcs(1, path.tweak);
+      const EndToEndCrcs t3 = TrainAndSampleCrcs(3, path.tweak);
+      EXPECT_EQ(t3.loss, t1.loss);
+      EXPECT_EQ(t3.sample33, t1.sample33);
+      EXPECT_EQ(t3.sample20, t1.sample20);
+      if (!check_crcs) continue;
+      const EndToEndCrcs& want =
+          backend == &kernels::Scalar() ? path.scalar : path.avx2;
+      EXPECT_EQ(t1.loss, want.loss) << std::hex << "loss CRC 0x" << t1.loss;
+      EXPECT_EQ(t1.sample33, want.sample33)
+          << std::hex << "Sample(33) CRC 0x" << t1.sample33;
+      EXPECT_EQ(t1.sample20, want.sample20)
+          << std::hex << "Sample(20) CRC 0x" << t1.sample20;
+    }
   }
 }
 

@@ -7,7 +7,7 @@
 // Loads every named entry into an in-memory registry, then serves
 // sample-range requests over the length-prefixed TCP protocol of
 // serve/protocol.h (clients: tablegan_cli sample-remote, the
-// serve::Client library, bench_serve). An entry's format is sniffed:
+// serve::Client library, bench_e2e). An entry's format is sniffed:
 // a model/checkpoint file samples through the generator, while a
 // columnar table file (tablegan_cli convert/sample --format columnar)
 // is mmap'd and serves its stored rows directly — same protocol, same
