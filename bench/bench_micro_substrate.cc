@@ -26,8 +26,9 @@ namespace {
 // selects the backend (0 = scalar, 1 = avx2); runs are
 // single-threaded so items_per_second reads directly as FLOP/s of the
 // serial kernel, and the avx2/scalar ratio is the SIMD speedup the
-// dispatch layer buys. Hosts without AVX2 report the vector rows as
-// skipped instead of failing.
+// dispatch layer buys. Each runs 5 repetitions and reports only their
+// mean, median, stddev and cv, so a ratio comes with its noise. Hosts
+// without AVX2 report the vector rows as skipped instead of failing.
 
 const kernels::Backend* BenchBackend(int which) {
   return which == 0 ? &kernels::Scalar() : kernels::Avx2();
@@ -65,7 +66,9 @@ void BM_GemmBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBackend)
     ->ArgsProduct({{0, 1}, {64, 128, 256}})
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void BM_GemmNtBackend(benchmark::State& state) {
   const kernels::Backend* backend =
@@ -92,7 +95,9 @@ void BM_GemmNtBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNtBackend)
     ->ArgsProduct({{0, 1}, {128, 256}})
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void BM_GemmTnBackend(benchmark::State& state) {
   const kernels::Backend* backend =
@@ -119,7 +124,9 @@ void BM_GemmTnBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTnBackend)
     ->ArgsProduct({{0, 1}, {128, 256}})
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void BM_ConvForwardBackend(benchmark::State& state) {
   const kernels::Backend* backend =
@@ -142,7 +149,12 @@ void BM_ConvForwardBackend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
   state.SetLabel(backend->name);
 }
-BENCHMARK(BM_ConvForwardBackend)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_ConvForwardBackend)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<int64_t>(state.range(0));

@@ -183,9 +183,9 @@ Status TableGan::Fit(const data::TableView& table, int label_col) {
 }
 
 // One epoch's row order, the current real mini-batch and the scratch
-// tensors of the D, C and G updates, kept across batches so the
-// steady-state step allocates nothing: ResizeUninitialized reuses each
-// tensor's capacity once the first (largest) batch has sized it.
+// tensors of the D, C and G updates, kept across batches:
+// ResizeUninitialized reuses each tensor's capacity once the first
+// (largest) batch has sized it.
 struct TableGan::Batch {
   std::vector<int64_t> order;
   int64_t size = 0;
@@ -217,10 +217,6 @@ TableGan::TrainingState::TrainingState(TableGan* gan,
         gan->discriminator_.Parameters(), gan->discriminator_.Gradients(),
         o.sn_weight, o.sn_power_iters,
         MixSeeds(static_cast<uint64_t>(o.seed), kSpectralStreamTag));
-  }
-  if (gan->ws_ != nullptr) {
-    info.BindWorkspace(gan->ws_.get());
-    if (sn != nullptr) sn->BindWorkspace(gan->ws_.get());
   }
 }
 
@@ -366,20 +362,6 @@ Status TableGan::SetUpModel(const data::TableView& table) {
   discriminator_ = BuildDiscriminator(side_, options_.base_channels, &rng_);
   classifier_ = BuildDiscriminator(side_, options_.base_channels, &rng_,
                                    static_cast<int>(label_cols_.size()));
-
-  // Bind the shared buffer pool to every network (TrainingState binds
-  // the info loss and spectral norm) so each training-step tensor is
-  // recycled instead of reallocated. The pool changes where buffers
-  // live, never their contents (DESIGN.md memory model), so training is
-  // bitwise identical with the flag off. The old pool (if any) is
-  // replaced only after the networks holding tensors from it have been
-  // rebuilt above.
-  if (options_.reuse_workspace) {
-    ws_ = std::make_unique<Workspace>();
-    for (nn::Sequential* net : Networks()) net->SetWorkspace(ws_.get());
-  } else {
-    ws_.reset();
-  }
   return Status::OK();
 }
 
@@ -396,8 +378,6 @@ void TableGan::RunEpoch(const data::TableView& table, TrainingState* state,
   batch->order.resize(static_cast<size_t>(n));
   std::iota(batch->order.begin(), batch->order.end(), int64_t{0});
   rng_.Shuffle(&batch->order);
-  const uint64_t ws_takes0 = ws_ != nullptr ? ws_->takes() : 0;
-  const uint64_t ws_misses0 = ws_ != nullptr ? ws_->misses() : 0;
   Stopwatch epoch_watch;
   Stopwatch phase_watch;
   int num_batches = 0;
@@ -431,13 +411,6 @@ void TableGan::RunEpoch(const data::TableView& table, TrainingState* state,
     stats->l_sd *= inv;
   }
   m->epoch_seconds = epoch_watch.ElapsedSeconds();
-  if (ws_ != nullptr) {
-    const uint64_t takes = ws_->takes() - ws_takes0;
-    const uint64_t misses = ws_->misses() - ws_misses0;
-    m->workspace_allocs = static_cast<int64_t>(misses);
-    m->workspace_reuses = static_cast<int64_t>(takes - misses);
-    m->workspace_bytes = static_cast<int64_t>(ws_->allocated_bytes());
-  }
 }
 
 Status TableGan::HandleDivergence(const std::string& last_good, int epoch,
@@ -739,9 +712,9 @@ void TableGan::UpdateGenerator(TrainingState* state, Batch* batch,
 Result<data::Table> TableGan::Sample(int64_t n) {
   if (!fitted_) return Status::FailedPrecondition("Sample before Fit");
   // A zero- (or negative-) row request is a no-op: the persisted
-  // rows-emitted position must not move and the workspace pool must not
-  // be touched, so interleaving empty requests — routine for a serving
-  // frontend — leaves the deterministic stream bit-for-bit unchanged.
+  // rows-emitted position must not move, so interleaving empty requests
+  // — routine for a serving frontend — leaves the deterministic stream
+  // bit-for-bit unchanged.
   if (n <= 0) return data::Table(schema_);
   ScopedNumThreads scoped_threads(options_.num_threads);
   TABLEGAN_ASSIGN_OR_RETURN(

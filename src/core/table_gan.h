@@ -13,7 +13,6 @@
 #include "data/record_matrix.h"
 #include "data/table.h"
 #include "data/table_view.h"
-#include "tensor/workspace.h"
 
 namespace tablegan {
 namespace core {
@@ -82,9 +81,9 @@ class TableGan {
   /// parallel across disjoint output slices when threads are available.
   ///
   /// n <= 0 returns an empty table with the training schema without
-  /// advancing the persisted rows-emitted position (and without touching
-  /// the workspace pool), so a zero-row request — e.g. relayed from a
-  /// remote client — cannot perturb subsequent deterministic output.
+  /// advancing the persisted rows-emitted position, so a zero-row
+  /// request — e.g. relayed from a remote client — cannot perturb
+  /// subsequent deterministic output.
   Result<data::Table> Sample(int64_t n);
 
   /// Stateless range sampling for the serving path: rows
@@ -230,12 +229,6 @@ class TableGan {
   bool fitted_ = false;
   int side_ = 0;
   std::vector<int> label_cols_;
-
-  /// Shape-keyed buffer pool for the training step (null when
-  /// options.reuse_workspace is false). Declared before the networks so
-  /// it is destroyed after them: layers may hold pooled tensors, and a
-  /// pooled tensor must not outlive its pool.
-  std::unique_ptr<Workspace> ws_;
 
   data::Schema schema_;
   data::RecordNormalizer normalizer_;

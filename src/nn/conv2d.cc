@@ -30,21 +30,16 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
       grad_bias_({bias ? out_channels : 0}) {}
 
 void Conv2d::EnsureChunkScratch(int64_t count, int64_t patch,
-                                int64_t spatial, bool backward) {
+                                int64_t spatial) {
   if (static_cast<int64_t>(chunk_cols_.size()) < count) {
     chunk_cols_.resize(static_cast<size_t>(count));
-  }
-  for (int64_t c = 0; c < count; ++c) {
-    chunk_cols_[static_cast<size_t>(c)].ResizeUninitialized(
-        {patch, spatial});
-  }
-  if (!backward) return;
-  if (static_cast<int64_t>(chunk_grad_cols_.size()) < count) {
     chunk_grad_cols_.resize(static_cast<size_t>(count));
     dw_partials_.resize(static_cast<size_t>(count));
     if (has_bias_) db_partials_.resize(static_cast<size_t>(count));
   }
   for (int64_t c = 0; c < count; ++c) {
+    chunk_cols_[static_cast<size_t>(c)].ResizeUninitialized(
+        {patch, spatial});
     chunk_grad_cols_[static_cast<size_t>(c)].ResizeUninitialized(
         {patch, spatial});
     dw_partials_[static_cast<size_t>(c)].ResizeUninitialized(
@@ -57,40 +52,8 @@ void Conv2d::EnsureChunkScratch(int64_t count, int64_t patch,
 }
 
 Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
-  TABLEGAN_CHECK(input.rank() == 4 && input.dim(1) == in_channels_)
-      << "Conv2d input " << ShapeToString(input.shape());
   cached_input_ = input;
-  const int64_t n = input.dim(0);
-  ops::Conv2dGeometry g{in_channels_, input.dim(2), input.dim(3), kernel_,
-                        stride_, padding_};
-  const int64_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
-  TABLEGAN_CHECK(oh > 0 && ow > 0);
-  // Pooled output is safe uninitialized: RawGemmNN with accumulate=false
-  // overwrites every output slice before the bias is added.
-  Tensor output = NewBuffer({n, out_channels_, oh, ow});
-  const int64_t in_sample = in_channels_ * g.in_h * g.in_w;
-  const FixedChunks chunks(n, kDefaultBatchChunks);
-  EnsureChunkScratch(chunks.count, g.patch_size(), spatial,
-                     /*backward=*/false);
-  ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      Tensor& cols = chunk_cols_[static_cast<size_t>(c)];
-      for (int64_t i = chunks.begin(c); i < chunks.end(c); ++i) {
-        ops::Im2Col(g, input.data() + i * in_sample, cols.data());
-        float* out_slice = output.data() + i * out_channels_ * spatial;
-        ops::RawGemmNN(out_channels_, spatial, g.patch_size(), weight_.data(),
-                       cols.data(), out_slice, /*accumulate=*/false);
-        if (has_bias_) {
-          for (int64_t ch = 0; ch < out_channels_; ++ch) {
-            const float b = bias_[ch];
-            float* row = out_slice + ch * spatial;
-            for (int64_t s = 0; s < spatial; ++s) row[s] += b;
-          }
-        }
-      }
-    }
-  });
-  return output;
+  return Infer(input);
 }
 
 Tensor Conv2d::Infer(const Tensor& input) const {
@@ -101,11 +64,14 @@ Tensor Conv2d::Infer(const Tensor& input) const {
                         stride_, padding_};
   const int64_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
   TABLEGAN_CHECK(oh > 0 && ow > 0);
-  Tensor output({n, out_channels_, oh, ow});
+  // Uninitialized is safe for both buffers: Im2Col writes every column
+  // element (padding included), and RawGemmNN with accumulate=false
+  // overwrites every output slice before the bias is added.
+  Tensor output = Tensor::Uninitialized({n, out_channels_, oh, ow});
   const int64_t in_sample = in_channels_ * g.in_h * g.in_w;
   const FixedChunks chunks(n, kDefaultBatchChunks);
   ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {
-    Tensor cols({g.patch_size(), spatial});
+    Tensor cols = Tensor::Uninitialized({g.patch_size(), spatial});
     for (int64_t c = c0; c < c1; ++c) {
       for (int64_t i = chunks.begin(c); i < chunks.end(c); ++i) {
         ops::Im2Col(g, input.data() + i * in_sample, cols.data());
@@ -136,13 +102,11 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
                  grad_output.dim(1) == out_channels_ &&
                  grad_output.dim(2) == oh && grad_output.dim(3) == ow);
 
-  // Col2Im accumulates into its target, so the pooled grad_input must be
-  // explicitly zeroed (matching the zero-filled fresh tensor it replaces).
-  Tensor grad_input = NewZeroedBuffer(input.shape());
+  // Col2Im accumulates into its target, so grad_input starts zeroed.
+  Tensor grad_input(input.shape());
   const int64_t in_sample = in_channels_ * g.in_h * g.in_w;
   const FixedChunks chunks(n, kDefaultBatchChunks);
-  EnsureChunkScratch(chunks.count, g.patch_size(), spatial,
-                     /*backward=*/true);
+  EnsureChunkScratch(chunks.count, g.patch_size(), spatial);
   std::vector<Tensor>& dw = dw_partials_;
   std::vector<Tensor>& db = db_partials_;
   ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {

@@ -33,11 +33,10 @@ class Conv2d : public Layer {
   bool has_bias() const { return has_bias_; }
 
  private:
-  /// Grows the per-chunk scratch tensors to `count` chunks. Called
-  /// single-threaded before the parallel region; each FixedChunks id then
-  /// owns its own scratch, so tasks never share a buffer.
-  void EnsureChunkScratch(int64_t count, int64_t patch, int64_t spatial,
-                          bool backward);
+  /// Grows Backward's per-chunk scratch tensors to `count` chunks.
+  /// Called single-threaded before the parallel region; each FixedChunks
+  /// id then owns its own scratch, so tasks never share a buffer.
+  void EnsureChunkScratch(int64_t count, int64_t patch, int64_t spatial);
 
   int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
@@ -46,10 +45,10 @@ class Conv2d : public Layer {
 
   Tensor cached_input_;   // saved by Forward for the backward pass
 
-  // Reusable per-chunk scratch for the training passes (Forward /
-  // Backward only — Infer stays const and allocation-per-call so it can
-  // run concurrently). im2col patches are fully overwritten per sample;
-  // dw/db partials are zeroed at the start of every Backward.
+  // Reusable per-chunk scratch for Backward (Infer, which Forward runs,
+  // stays const and allocation-per-call so it can run concurrently).
+  // im2col patches are fully overwritten per sample; dw/db partials are
+  // zeroed at the start of every Backward.
   std::vector<Tensor> chunk_cols_;       // im2col patches
   std::vector<Tensor> chunk_grad_cols_;  // backward dCols
   std::vector<Tensor> dw_partials_, db_partials_;

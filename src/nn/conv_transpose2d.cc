@@ -40,20 +40,15 @@ ops::Conv2dGeometry ConvTranspose2d::OutputGeometry(int64_t in_h,
 }
 
 void ConvTranspose2d::EnsureChunkScratch(int64_t count, int64_t patch,
-                                         int64_t spatial, bool backward) {
+                                         int64_t spatial) {
   if (static_cast<int64_t>(chunk_cols_.size()) < count) {
     chunk_cols_.resize(static_cast<size_t>(count));
-  }
-  for (int64_t c = 0; c < count; ++c) {
-    chunk_cols_[static_cast<size_t>(c)].ResizeUninitialized(
-        {patch, spatial});
-  }
-  if (!backward) return;
-  if (static_cast<int64_t>(dw_partials_.size()) < count) {
     dw_partials_.resize(static_cast<size_t>(count));
     if (has_bias_) db_partials_.resize(static_cast<size_t>(count));
   }
   for (int64_t c = 0; c < count; ++c) {
+    chunk_cols_[static_cast<size_t>(c)].ResizeUninitialized(
+        {patch, spatial});
     dw_partials_[static_cast<size_t>(c)].ResizeUninitialized(
         {in_channels_, patch});
     if (has_bias_) {
@@ -64,44 +59,8 @@ void ConvTranspose2d::EnsureChunkScratch(int64_t count, int64_t patch,
 }
 
 Tensor ConvTranspose2d::Forward(const Tensor& input, bool /*training*/) {
-  TABLEGAN_CHECK(input.rank() == 4 && input.dim(1) == in_channels_)
-      << "ConvTranspose2d input " << ShapeToString(input.shape());
   cached_input_ = input;
-  const int64_t n = input.dim(0);
-  const int64_t in_h = input.dim(2), in_w = input.dim(3);
-  const int64_t in_spatial = in_h * in_w;
-  ops::Conv2dGeometry g = OutputGeometry(in_h, in_w);
-  const int64_t out_spatial = g.in_h * g.in_w;
-
-  // Col2Im accumulates into the output, so the pooled buffer must start
-  // zeroed — exactly what the fresh zero-filled tensor used to provide.
-  Tensor output = NewZeroedBuffer({n, out_channels_, g.in_h, g.in_w});
-  const int64_t in_sample = in_channels_ * in_spatial;
-  const int64_t out_sample = out_channels_ * out_spatial;
-  const FixedChunks chunks(n, kDefaultBatchChunks);
-  EnsureChunkScratch(chunks.count, g.patch_size(), in_spatial,
-                     /*backward=*/false);
-  ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      Tensor& cols = chunk_cols_[static_cast<size_t>(c)];
-      for (int64_t i = chunks.begin(c); i < chunks.end(c); ++i) {
-        // cols = W^T * x ; output = col2im(cols)
-        ops::RawGemmTN(g.patch_size(), in_spatial, in_channels_,
-                       weight_.data(), input.data() + i * in_sample,
-                       cols.data(), /*accumulate=*/false);
-        ops::Col2Im(g, cols.data(), output.data() + i * out_sample);
-        if (has_bias_) {
-          float* out_slice = output.data() + i * out_sample;
-          for (int64_t ch = 0; ch < out_channels_; ++ch) {
-            const float b = bias_[ch];
-            float* row = out_slice + ch * out_spatial;
-            for (int64_t s = 0; s < out_spatial; ++s) row[s] += b;
-          }
-        }
-      }
-    }
-  });
-  return output;
+  return Infer(input);
 }
 
 Tensor ConvTranspose2d::Infer(const Tensor& input) const {
@@ -113,12 +72,14 @@ Tensor ConvTranspose2d::Infer(const Tensor& input) const {
   ops::Conv2dGeometry g = OutputGeometry(in_h, in_w);
   const int64_t out_spatial = g.in_h * g.in_w;
 
+  // Col2Im accumulates into the output, so it starts zeroed; cols is
+  // fully overwritten by RawGemmTN (accumulate=false).
   Tensor output({n, out_channels_, g.in_h, g.in_w});
   const int64_t in_sample = in_channels_ * in_spatial;
   const int64_t out_sample = out_channels_ * out_spatial;
   const FixedChunks chunks(n, kDefaultBatchChunks);
   ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {
-    Tensor cols({g.patch_size(), in_spatial});
+    Tensor cols = Tensor::Uninitialized({g.patch_size(), in_spatial});
     for (int64_t c = c0; c < c1; ++c) {
       for (int64_t i = chunks.begin(c); i < chunks.end(c); ++i) {
         // cols = W^T * x ; output = col2im(cols)
@@ -153,13 +114,12 @@ Tensor ConvTranspose2d::Backward(const Tensor& grad_output) {
                  grad_output.dim(2) == g.in_h && grad_output.dim(3) == g.in_w);
 
   // Every sample slice of grad_input is fully overwritten by RawGemmNN
-  // (accumulate=false), so the pooled buffer is safe uninitialized.
-  Tensor grad_input = NewBuffer(input.shape());
+  // (accumulate=false), so it is safe uninitialized.
+  Tensor grad_input = Tensor::Uninitialized(input.shape());
   const int64_t in_sample = in_channels_ * in_spatial;
   const int64_t out_sample = out_channels_ * out_spatial;
   const FixedChunks chunks(n, kDefaultBatchChunks);
-  EnsureChunkScratch(chunks.count, g.patch_size(), in_spatial,
-                     /*backward=*/true);
+  EnsureChunkScratch(chunks.count, g.patch_size(), in_spatial);
   std::vector<Tensor>& dw = dw_partials_;
   std::vector<Tensor>& db = db_partials_;
   ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {

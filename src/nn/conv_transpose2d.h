@@ -38,10 +38,9 @@ class ConvTranspose2d : public Layer {
   /// Geometry of the *output* image, in Conv2dGeometry terms.
   ops::Conv2dGeometry OutputGeometry(int64_t in_h, int64_t in_w) const;
 
-  /// Grows the per-chunk scratch tensors to `count` chunks (see Conv2d;
-  /// same ownership rules: one FixedChunks id, one scratch set).
-  void EnsureChunkScratch(int64_t count, int64_t patch, int64_t spatial,
-                          bool backward);
+  /// Grows Backward's per-chunk scratch tensors to `count` chunks (see
+  /// Conv2d; same ownership rules: one FixedChunks id, one scratch set).
+  void EnsureChunkScratch(int64_t count, int64_t patch, int64_t spatial);
 
   int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
@@ -50,8 +49,8 @@ class ConvTranspose2d : public Layer {
 
   Tensor cached_input_;
 
-  // Reusable per-chunk scratch for the training passes; Infer stays
-  // const/allocating for concurrent use.
+  // Reusable per-chunk scratch for Backward; Infer (which Forward runs)
+  // stays const/allocating for concurrent use.
   std::vector<Tensor> chunk_cols_;
   std::vector<Tensor> dw_partials_, db_partials_;
 };

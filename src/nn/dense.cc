@@ -17,30 +17,16 @@ Dense::Dense(int64_t in_features, int64_t out_features, bool bias)
       grad_bias_({bias ? out_features : 0}) {}
 
 Tensor Dense::Forward(const Tensor& input, bool /*training*/) {
-  TABLEGAN_CHECK(input.rank() == 2 && input.dim(1) == in_features_)
-      << "Dense input " << ShapeToString(input.shape());
   cached_input_ = input;
-  const int64_t n = input.dim(0);
-  // Pooled output is safe uninitialized: Gemm with beta == 0 zeroes C
-  // before accumulating. The workspace also serves the transposed-weight
-  // scratch inside Gemm.
-  Tensor output = NewBuffer({n, out_features_});
-  // y = x * W^T
-  ops::Gemm(false, true, 1.0f, input, weight_, 0.0f, &output, ws_);
-  if (has_bias_) {
-    for (int64_t i = 0; i < n; ++i) {
-      float* row = output.data() + i * out_features_;
-      for (int64_t j = 0; j < out_features_; ++j) row[j] += bias_[j];
-    }
-  }
-  return output;
+  return Infer(input);
 }
 
 Tensor Dense::Infer(const Tensor& input) const {
   TABLEGAN_CHECK(input.rank() == 2 && input.dim(1) == in_features_)
       << "Dense input " << ShapeToString(input.shape());
   const int64_t n = input.dim(0);
-  Tensor output({n, out_features_});
+  // Uninitialized is safe: Gemm with beta == 0 zeroes C first.
+  Tensor output = Tensor::Uninitialized({n, out_features_});
   // y = x * W^T
   ops::Gemm(false, true, 1.0f, input, weight_, 0.0f, &output);
   if (has_bias_) {
@@ -59,7 +45,7 @@ Tensor Dense::Backward(const Tensor& grad_output) {
   TABLEGAN_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == n &&
                  grad_output.dim(1) == out_features_);
   // dW += dY^T * X
-  ops::Gemm(true, false, 1.0f, grad_output, input, 1.0f, &grad_weight_, ws_);
+  ops::Gemm(true, false, 1.0f, grad_output, input, 1.0f, &grad_weight_);
   if (has_bias_) {
     for (int64_t i = 0; i < n; ++i) {
       const float* row = grad_output.data() + i * out_features_;
@@ -67,7 +53,7 @@ Tensor Dense::Backward(const Tensor& grad_output) {
     }
   }
   // dX = dY * W
-  Tensor grad_input = NewBuffer({n, in_features_});
+  Tensor grad_input = Tensor::Uninitialized({n, in_features_});
   ops::Gemm(false, false, 1.0f, grad_output, weight_, 0.0f, &grad_input);
   return grad_input;
 }

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "tensor/tensor.h"
-#include "tensor/workspace.h"
 
 namespace tablegan {
 namespace nn {
@@ -20,20 +19,17 @@ namespace nn {
 /// lets table-GAN back-propagate the generator loss through a frozen
 /// discriminator/classifier and later discard those gradients.
 ///
-/// Memory model: a trainer may bind a Workspace buffer pool with
-/// SetWorkspace; Forward/Backward then draw their output and gradient
-/// buffers from the pool (NewBuffer/NewZeroedBuffer below), making the
-/// steady-state training step allocation-free. Results are bitwise
-/// identical with and without a workspace. Infer never touches the
-/// workspace or mutable scratch — it stays const, cache-free and safe to
-/// call concurrently.
+/// Memory model: every output and gradient is a fresh tensor per call.
+/// Layers whose training-mode Forward computes what inference computes
+/// cache what Backward reads and return Infer(input), so the training
+/// and sampling paths share one copy of the forward arithmetic. Infer
+/// never touches mutable state — it stays const, cache-free and safe to
+/// call concurrently. Besides the caches Backward reads, only the conv
+/// layers' per-chunk Backward scratch and BatchNorm's statistics live in
+/// reusable members (DESIGN.md §10).
 class Layer {
  public:
   virtual ~Layer() = default;
-
-  /// Binds (or unbinds, with nullptr) the buffer pool used by
-  /// Forward/Backward. Containers override to propagate to children.
-  virtual void SetWorkspace(Workspace* ws) { ws_ = ws; }
 
   /// Computes the layer output. `training` selects batch statistics in
   /// BatchNorm; inference uses running statistics.
@@ -67,20 +63,6 @@ class Layer {
   void ZeroGrad() {
     for (Tensor* g : Gradients()) g->SetZero();
   }
-
- protected:
-  /// An output/gradient buffer that the caller fully overwrites: pooled
-  /// (uninitialized) when a workspace is bound, zero-filled otherwise.
-  Tensor NewBuffer(const std::vector<int64_t>& shape) {
-    return ws_ != nullptr ? ws_->Take(shape) : Tensor(shape);
-  }
-  /// A buffer guaranteed zeroed — for consumers that accumulate into it
-  /// (e.g. Col2Im targets).
-  Tensor NewZeroedBuffer(const std::vector<int64_t>& shape) {
-    return ws_ != nullptr ? ws_->TakeZeroed(shape) : Tensor(shape);
-  }
-
-  Workspace* ws_ = nullptr;
 };
 
 inline Tensor Layer::Infer(const Tensor& input) const {

@@ -1,23 +1,10 @@
 #include "nn/reshape.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
 namespace tablegan {
 namespace nn {
-namespace {
-
-// Copies `src`'s elements into a workspace buffer of `shape` — bitwise
-// identical to src.Reshaped(shape), minus the fresh allocation.
-Tensor PooledCopy(Workspace* ws, const Tensor& src,
-                  const std::vector<int64_t>& shape) {
-  Tensor out = ws->Take(shape);
-  std::copy(src.data(), src.data() + src.size(), out.data());
-  return out;
-}
-
-}  // namespace
 
 Reshape::Reshape(std::vector<int64_t> sample_shape)
     : sample_shape_(std::move(sample_shape)),
@@ -25,16 +12,7 @@ Reshape::Reshape(std::vector<int64_t> sample_shape)
 
 Tensor Reshape::Forward(const Tensor& input, bool /*training*/) {
   cached_input_shape_ = input.shape();
-  TABLEGAN_CHECK(input.rank() >= 1);
-  const int64_t n = input.dim(0);
-  TABLEGAN_CHECK(input.size() == n * sample_size_)
-      << "Reshape: sample size mismatch for "
-      << ShapeToString(input.shape());
-  std::vector<int64_t> out_shape{n};
-  out_shape.insert(out_shape.end(), sample_shape_.begin(),
-                   sample_shape_.end());
-  if (ws_ == nullptr) return input.Reshaped(std::move(out_shape));
-  return PooledCopy(ws_, input, out_shape);
+  return Infer(input);
 }
 
 Tensor Reshape::Infer(const Tensor& input) const {
@@ -50,8 +28,7 @@ Tensor Reshape::Infer(const Tensor& input) const {
 }
 
 Tensor Reshape::Backward(const Tensor& grad_output) {
-  if (ws_ == nullptr) return grad_output.Reshaped(cached_input_shape_);
-  return PooledCopy(ws_, grad_output, cached_input_shape_);
+  return grad_output.Reshaped(cached_input_shape_);
 }
 
 std::string Reshape::name() const {
@@ -62,10 +39,7 @@ std::string Reshape::name() const {
 
 Tensor Flatten::Forward(const Tensor& input, bool /*training*/) {
   cached_input_shape_ = input.shape();
-  TABLEGAN_CHECK(input.rank() >= 2);
-  const int64_t n = input.dim(0);
-  if (ws_ == nullptr) return input.Reshaped({n, input.size() / n});
-  return PooledCopy(ws_, input, {n, input.size() / n});
+  return Infer(input);
 }
 
 Tensor Flatten::Infer(const Tensor& input) const {
@@ -75,8 +49,7 @@ Tensor Flatten::Infer(const Tensor& input) const {
 }
 
 Tensor Flatten::Backward(const Tensor& grad_output) {
-  if (ws_ == nullptr) return grad_output.Reshaped(cached_input_shape_);
-  return PooledCopy(ws_, grad_output, cached_input_shape_);
+  return grad_output.Reshaped(cached_input_shape_);
 }
 
 }  // namespace nn

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "nn/layer.h"
+#include "tensor/workspace.h"
 
 namespace tablegan {
 namespace nn {
@@ -39,8 +40,8 @@ class Sequential : public Layer {
   Tensor Infer(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
 
-  /// Binds the pool on the container and every child layer.
-  void SetWorkspace(Workspace* ws) override;
+  /// Does nothing. Its only caller is the bench_e2e harness (probes.cc).
+  void SetWorkspace(Workspace*) {}
 
   std::vector<Tensor*> Parameters() override;
   std::vector<Tensor*> Gradients() override;

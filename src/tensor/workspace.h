@@ -1,77 +1,11 @@
 #ifndef TABLEGAN_TENSOR_WORKSPACE_H_
 #define TABLEGAN_TENSOR_WORKSPACE_H_
 
-#include <cstdint>
-#include <unordered_map>
-#include <vector>
-
-#include "tensor/tensor.h"
-
 namespace tablegan {
 
-/// Buffer pool behind the allocation-free steady-state training step
-/// (DESIGN.md "Memory model"). Take() hands out a Tensor whose storage is
-/// drawn from a free list keyed by element count; when that Tensor is
-/// destroyed (or move-assigned over), its storage returns to the pool
-/// automatically. After a warmup pass has populated the free lists, a
-/// training step performs zero heap allocations for activations,
-/// gradients and scratch.
-///
-/// Contract:
-///  - Take() returns UNINITIALIZED storage (possibly stale data from a
-///    previous user). Callers must either fully overwrite every element
-///    or use TakeZeroed() when the consumer accumulates into the buffer
-///    (e.g. Col2Im targets).
-///  - Single-threaded: Take/recycle must happen on one thread at a time.
-///    Parallel kernels may *fill* a taken buffer from many threads, but
-///    the pool itself is only touched between kernels.
-///  - The Workspace must outlive every Tensor it issued (tensors hold a
-///    raw back-pointer for the recycle hook).
-class Workspace {
- public:
-  Workspace() = default;
-  ~Workspace() = default;
-
-  Workspace(const Workspace&) = delete;
-  Workspace& operator=(const Workspace&) = delete;
-
-  /// A tensor of `shape` with uninitialized (possibly stale) contents.
-  Tensor Take(const std::vector<int64_t>& shape);
-
-  /// A tensor of `shape` with every element zeroed — for buffers the
-  /// consumer accumulates into instead of overwriting.
-  Tensor TakeZeroed(const std::vector<int64_t>& shape);
-
-  /// Drops every pooled buffer (checked-out tensors are unaffected; they
-  /// will repopulate the pool as they die).
-  void Clear();
-
-  /// --- Telemetry ----------------------------------------------------
-  /// Total Take()/TakeZeroed() calls served.
-  uint64_t takes() const { return takes_; }
-  /// Takes that had to allocate fresh storage (free list empty). In the
-  /// steady state this stops growing — asserted by tests and surfaced as
-  /// TrainingMetrics.workspace_allocs.
-  uint64_t misses() const { return misses_; }
-  /// Bytes of float storage ever allocated through this pool (resident
-  /// footprint: recycled storage is kept, never freed until Clear()).
-  uint64_t allocated_bytes() const { return allocated_bytes_; }
-
- private:
-  friend class Tensor;
-
-  /// Recycle hook called by ~Tensor / Tensor move-assignment.
-  void Recycle(std::vector<int64_t>&& shape, Tensor::Storage&& storage);
-
-  struct Entry {
-    std::vector<int64_t> shape;  // pooled to also reuse the shape vector
-    Tensor::Storage storage;
-  };
-  std::unordered_map<int64_t, std::vector<Entry>> free_;
-  uint64_t takes_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t allocated_bytes_ = 0;
-};
+/// Holds nothing. Its only user is the bench_e2e harness (probes.cc),
+/// which still declares one and passes it to Sequential::SetWorkspace.
+struct Workspace {};
 
 }  // namespace tablegan
 

@@ -59,7 +59,8 @@
 // spectral-norm weight penalty. `--diverge` controls the divergence
 // guardrail: on a non-finite or runaway loss EWMA the run halts (or
 // rolls back to the last-good epoch) after auto-checkpointing
-// `<checkpoint-dir>/diverged-last-good.tgan`.
+// `<checkpoint-dir>/diverged-last-good.tgan`. A halted `train` still
+// writes that last-good model to --model, then exits 1.
 //
 // `--conditional 1` trains a label-conditioned generator (DESIGN.md
 // §16); `sample --where-label X` then reads the per-label stream of
@@ -328,8 +329,17 @@ int CmdTrain(Args args) {
   }
 
   core::TableGan gan(options);
-  TABLEGAN_CHECK_OK(gan.Fit(*view, labels[0]));
-  TABLEGAN_CHECK_OK(gan.Save(args.Require("model")));
+  const Status fit = gan.Fit(*view, labels[0]);
+  // A run the divergence guard halted still holds its last-good epoch
+  // (DESIGN.md §15): keep it, but report the halt and exit non-zero.
+  if (!fit.ok() && !gan.fitted()) Fail(fit);
+  const Status saved = gan.Save(args.Require("model"));
+  if (!saved.ok()) Fail(saved);
+  if (!fit.ok()) {
+    std::fprintf(stderr, "error: %s\nlast-good model saved to %s\n",
+                 fit.ToString().c_str(), args.Require("model"));
+    return 1;
+  }
   std::printf("trained on %lld rows (privacy=%s%s); model saved to %s\n",
               static_cast<long long>(view->num_rows()), privacy.c_str(),
               columnar.has_value() ? ", out-of-core from columnar" : "",
