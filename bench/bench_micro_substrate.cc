@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/networks.h"
@@ -42,6 +44,11 @@ struct BackendScope {
   ~BackendScope() { kernels::OverrideBackend(nullptr); }
 };
 
+// The NN and TN benches take (backend, m, n, k): the square shapes, plus
+// the side-8 networks' conv shapes with one image (N = 4) and with a
+// four-image FixedChunks chunk laid side by side (N = 16). NN 128xNx1024
+// is D's 64->128 stage forward; TN 1024xNx128 is that stage's input
+// gradient and G's 128->64 stage forward.
 void BM_GemmBackend(benchmark::State& state) {
   const kernels::Backend* backend =
       BenchBackend(static_cast<int>(state.range(0)));
@@ -49,11 +56,13 @@ void BM_GemmBackend(benchmark::State& state) {
     state.SkipWithError("AVX2 backend unavailable on this host");
     return;
   }
-  const auto n = static_cast<int64_t>(state.range(1));
+  const auto m = static_cast<int64_t>(state.range(1));
+  const auto n = static_cast<int64_t>(state.range(2));
+  const auto k = static_cast<int64_t>(state.range(3));
   Rng rng(1);
-  Tensor a = Tensor::Uniform({n, n}, -1, 1, &rng);
-  Tensor b = Tensor::Uniform({n, n}, -1, 1, &rng);
-  Tensor c({n, n});
+  Tensor a = Tensor::Uniform({m, k}, -1, 1, &rng);
+  Tensor b = Tensor::Uniform({k, n}, -1, 1, &rng);
+  Tensor c({m, n});
   BackendScope scope(backend);
   SetNumThreads(1);
   for (auto _ : state) {
@@ -61,14 +70,26 @@ void BM_GemmBackend(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   SetNumThreads(0);
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
   state.SetLabel(backend->name);
 }
-BENCHMARK(BM_GemmBackend)
-    ->ArgsProduct({{0, 1}, {64, 128, 256}})
-    ->UseRealTime()
-    ->Repetitions(5)
-    ->ReportAggregatesOnly(true);
+
+// (backend, m, n, k) argument rows for the NN and TN benches.
+void GemmShapes(benchmark::internal::Benchmark* b,
+                const std::vector<std::vector<int64_t>>& shapes) {
+  for (int64_t backend : {0, 1}) {
+    for (const auto& s : shapes) b->Args({backend, s[0], s[1], s[2]});
+  }
+  b->UseRealTime()->Repetitions(5)->ReportAggregatesOnly(true);
+}
+
+BENCHMARK(BM_GemmBackend)->Apply([](benchmark::internal::Benchmark* b) {
+  GemmShapes(b, {{64, 64, 64},
+                 {128, 128, 128},
+                 {256, 256, 256},
+                 {128, 4, 1024},
+                 {128, 16, 1024}});
+});
 
 void BM_GemmNtBackend(benchmark::State& state) {
   const kernels::Backend* backend =
@@ -106,27 +127,30 @@ void BM_GemmTnBackend(benchmark::State& state) {
     state.SkipWithError("AVX2 backend unavailable on this host");
     return;
   }
-  const auto n = static_cast<int64_t>(state.range(1));
+  const auto m = static_cast<int64_t>(state.range(1));
+  const auto n = static_cast<int64_t>(state.range(2));
+  const auto k = static_cast<int64_t>(state.range(3));
   Rng rng(3);
-  Tensor a = Tensor::Uniform({n, n}, -1, 1, &rng);
-  Tensor b = Tensor::Uniform({n, n}, -1, 1, &rng);
-  Tensor c({n, n});
+  Tensor a = Tensor::Uniform({k, m}, -1, 1, &rng);
+  Tensor b = Tensor::Uniform({k, n}, -1, 1, &rng);
+  Tensor c({m, n});
   BackendScope scope(backend);
   SetNumThreads(1);
   for (auto _ : state) {
-    ops::RawGemmTN(n, n, n, a.data(), b.data(), c.data(),
+    ops::RawGemmTN(m, n, k, a.data(), b.data(), c.data(),
                    /*accumulate=*/false);
     benchmark::DoNotOptimize(c.data());
   }
   SetNumThreads(0);
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
   state.SetLabel(backend->name);
 }
-BENCHMARK(BM_GemmTnBackend)
-    ->ArgsProduct({{0, 1}, {128, 256}})
-    ->UseRealTime()
-    ->Repetitions(5)
-    ->ReportAggregatesOnly(true);
+BENCHMARK(BM_GemmTnBackend)->Apply([](benchmark::internal::Benchmark* b) {
+  GemmShapes(b, {{128, 128, 128},
+                 {256, 256, 256},
+                 {1024, 4, 128},
+                 {1024, 16, 128}});
+});
 
 void BM_ConvForwardBackend(benchmark::State& state) {
   const kernels::Backend* backend =

@@ -33,10 +33,10 @@ class Conv2d : public Layer {
   bool has_bias() const { return has_bias_; }
 
  private:
-  /// Grows Backward's per-chunk scratch tensors to `count` chunks.
+  /// Grows Backward's per-chunk weight/bias partials to `count` chunks.
   /// Called single-threaded before the parallel region; each FixedChunks
-  /// id then owns its own scratch, so tasks never share a buffer.
-  void EnsureChunkScratch(int64_t count, int64_t patch, int64_t spatial);
+  /// id then owns its own partials, so tasks never share a buffer.
+  void EnsureChunkScratch(int64_t count, int64_t patch);
 
   int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
@@ -45,12 +45,9 @@ class Conv2d : public Layer {
 
   Tensor cached_input_;   // saved by Forward for the backward pass
 
-  // Reusable per-chunk scratch for Backward (Infer, which Forward runs,
-  // stays const and allocation-per-call so it can run concurrently).
-  // im2col patches are fully overwritten per sample; dw/db partials are
-  // zeroed at the start of every Backward.
-  std::vector<Tensor> chunk_cols_;       // im2col patches
-  std::vector<Tensor> chunk_grad_cols_;  // backward dCols
+  // Backward's per-chunk weight/bias partials, zeroed at the start of
+  // every Backward and summed in chunk order. Its GEMM operands are per
+  // task, like Infer's.
   std::vector<Tensor> dw_partials_, db_partials_;
 };
 

@@ -1,5 +1,6 @@
 #include "nn/conv_transpose2d.h"
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -12,7 +13,10 @@ namespace nn {
 // Threading model mirrors Conv2d: batch-parallel over a FixedChunks
 // partition of the sample dimension, with weight/bias gradients reduced
 // over per-chunk partials in chunk order so results are bitwise identical
-// at any thread count.
+// at any thread count. Also as in Conv2d, a chunk's images sit side by
+// side along N, so the forward TN and the backward NN GEMM run once per
+// chunk with each element's k terms in ascending order; the NT weight
+// gradient and the bias sums stay per image, in image order.
 
 ConvTranspose2d::ConvTranspose2d(int64_t in_channels, int64_t out_channels,
                                  int64_t kernel, int64_t stride,
@@ -39,16 +43,12 @@ ops::Conv2dGeometry ConvTranspose2d::OutputGeometry(int64_t in_h,
   return g;
 }
 
-void ConvTranspose2d::EnsureChunkScratch(int64_t count, int64_t patch,
-                                         int64_t spatial) {
-  if (static_cast<int64_t>(chunk_cols_.size()) < count) {
-    chunk_cols_.resize(static_cast<size_t>(count));
+void ConvTranspose2d::EnsureChunkScratch(int64_t count, int64_t patch) {
+  if (static_cast<int64_t>(dw_partials_.size()) < count) {
     dw_partials_.resize(static_cast<size_t>(count));
     if (has_bias_) db_partials_.resize(static_cast<size_t>(count));
   }
   for (int64_t c = 0; c < count; ++c) {
-    chunk_cols_[static_cast<size_t>(c)].ResizeUninitialized(
-        {patch, spatial});
     dw_partials_[static_cast<size_t>(c)].ResizeUninitialized(
         {in_channels_, patch});
     if (has_bias_) {
@@ -72,23 +72,34 @@ Tensor ConvTranspose2d::Infer(const Tensor& input) const {
   ops::Conv2dGeometry g = OutputGeometry(in_h, in_w);
   const int64_t out_spatial = g.in_h * g.in_w;
 
-  // Col2Im accumulates into the output, so it starts zeroed; cols is
-  // fully overwritten by RawGemmTN (accumulate=false).
+  // Col2Im accumulates into the output, so it starts zeroed; `x` is fully
+  // written by the gather and `cols` by RawGemmTN (accumulate=false).
   Tensor output({n, out_channels_, g.in_h, g.in_w});
   const int64_t in_sample = in_channels_ * in_spatial;
   const int64_t out_sample = out_channels_ * out_spatial;
   const FixedChunks chunks(n, kDefaultBatchChunks);
   ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {
-    Tensor cols = Tensor::Uninitialized({g.patch_size(), in_spatial});
+    Tensor x, cols;
     for (int64_t c = c0; c < c1; ++c) {
-      for (int64_t i = chunks.begin(c); i < chunks.end(c); ++i) {
-        // cols = W^T * x ; output = col2im(cols)
-        ops::RawGemmTN(g.patch_size(), in_spatial, in_channels_,
-                       weight_.data(), input.data() + i * in_sample,
-                       cols.data(), /*accumulate=*/false);
-        ops::Col2Im(g, cols.data(), output.data() + i * out_sample);
+      const int64_t i0 = chunks.begin(c), images = chunks.end(c) - i0;
+      const int64_t ld = images * in_spatial;
+      x.ResizeUninitialized({in_channels_, ld});
+      cols.ResizeUninitialized({g.patch_size(), ld});
+      // Gather the chunk's inputs into [in_ch, images*in_spatial].
+      for (int64_t i = 0; i < images; ++i) {
+        const float* x_slice = input.data() + (i0 + i) * in_sample;
+        for (int64_t ch = 0; ch < in_channels_; ++ch) {
+          const float* row = x_slice + ch * in_spatial;
+          std::copy(row, row + in_spatial, x.data() + ch * ld + i * in_spatial);
+        }
+      }
+      // cols = W^T * x ; output_i = col2im(cols_i)
+      ops::RawGemmTN(g.patch_size(), ld, in_channels_, weight_.data(),
+                     x.data(), cols.data(), /*accumulate=*/false);
+      for (int64_t i = 0; i < images; ++i) {
+        float* out_slice = output.data() + (i0 + i) * out_sample;
+        ops::Col2Im(g, cols.data() + i * in_spatial, ld, out_slice);
         if (has_bias_) {
-          float* out_slice = output.data() + i * out_sample;
           for (int64_t ch = 0; ch < out_channels_; ++ch) {
             const float b = bias_[ch];
             float* row = out_slice + ch * out_spatial;
@@ -113,33 +124,37 @@ Tensor ConvTranspose2d::Backward(const Tensor& grad_output) {
                  grad_output.dim(1) == out_channels_ &&
                  grad_output.dim(2) == g.in_h && grad_output.dim(3) == g.in_w);
 
-  // Every sample slice of grad_input is fully overwritten by RawGemmNN
-  // (accumulate=false), so it is safe uninitialized.
+  // Every sample slice of grad_input is fully overwritten by the scatter
+  // of the chunk's RawGemmNN result, so it is safe uninitialized.
   Tensor grad_input = Tensor::Uninitialized(input.shape());
   const int64_t in_sample = in_channels_ * in_spatial;
   const int64_t out_sample = out_channels_ * out_spatial;
   const FixedChunks chunks(n, kDefaultBatchChunks);
-  EnsureChunkScratch(chunks.count, g.patch_size(), in_spatial);
+  EnsureChunkScratch(chunks.count, g.patch_size());
   std::vector<Tensor>& dw = dw_partials_;
   std::vector<Tensor>& db = db_partials_;
   ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {
+    // Per task, as in Infer: both im2col targets are fully overwritten
+    // per sample and `dx` by RawGemmNN.
+    Tensor cols = Tensor::Uninitialized({g.patch_size(), in_spatial});
+    Tensor batch_cols, dx;
     for (int64_t c = c0; c < c1; ++c) {
-      Tensor& cols = chunk_cols_[static_cast<size_t>(c)];
       auto& dw_c = dw[static_cast<size_t>(c)];
       dw_c.SetZero();
       if (has_bias_) db[static_cast<size_t>(c)].SetZero();
-      for (int64_t i = chunks.begin(c); i < chunks.end(c); ++i) {
-        const float* go_slice = grad_output.data() + i * out_sample;
-        // cols = im2col(dOut) over the *output* geometry.
+      const int64_t i0 = chunks.begin(c), images = chunks.end(c) - i0;
+      const int64_t ld = images * in_spatial;
+      batch_cols.ResizeUninitialized({g.patch_size(), ld});
+      dx.ResizeUninitialized({in_channels_, ld});
+      for (int64_t i = 0; i < images; ++i) {
+        const float* go_slice = grad_output.data() + (i0 + i) * out_sample;
+        // cols = im2col(dOut) over the *output* geometry, once contiguous
+        // for the per-image dW and once into the chunk's columns for dX.
         ops::Im2Col(g, go_slice, cols.data());
-        // dX = W * cols
-        ops::RawGemmNN(in_channels_, in_spatial, g.patch_size(),
-                       weight_.data(), cols.data(),
-                       grad_input.data() + i * in_sample,
-                       /*accumulate=*/false);
+        ops::Im2Col(g, go_slice, batch_cols.data() + i * in_spatial, ld);
         // dW_c += x * cols^T
         ops::RawGemmNT(in_channels_, g.patch_size(), in_spatial,
-                       input.data() + i * in_sample, cols.data(),
+                       input.data() + (i0 + i) * in_sample, cols.data(),
                        dw_c.data(), /*accumulate=*/true);
         if (has_bias_) {
           float* db_c = db[static_cast<size_t>(c)].data();
@@ -149,6 +164,16 @@ Tensor ConvTranspose2d::Backward(const Tensor& grad_output) {
             for (int64_t s = 0; s < out_spatial; ++s) acc += row[s];
             db_c[ch] += acc;
           }
+        }
+      }
+      // dX = W * cols over the chunk, scattered back to NCHW.
+      ops::RawGemmNN(in_channels_, ld, g.patch_size(), weight_.data(),
+                     batch_cols.data(), dx.data(), /*accumulate=*/false);
+      for (int64_t i = 0; i < images; ++i) {
+        float* gi_slice = grad_input.data() + (i0 + i) * in_sample;
+        for (int64_t ch = 0; ch < in_channels_; ++ch) {
+          const float* row = dx.data() + ch * ld + i * in_spatial;
+          std::copy(row, row + in_spatial, gi_slice + ch * in_spatial);
         }
       }
     }

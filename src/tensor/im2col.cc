@@ -9,15 +9,15 @@ namespace ops {
 // 4x4, stride-2 convolutions over small images, where these loops were
 // measured no slower than a hand-vectorized copy (DESIGN.md §12).
 
-void Im2Col(const Conv2dGeometry& g, const float* img, float* cols) {
+void Im2Col(const Conv2dGeometry& g, const float* img, float* cols,
+            int64_t ld) {
   const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t out_spatial = oh * ow;
   int64_t row = 0;
   for (int64_t c = 0; c < g.in_channels; ++c) {
     const float* channel = img + c * g.in_h * g.in_w;
     for (int64_t ky = 0; ky < g.kernel; ++ky) {
       for (int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        float* out_row = cols + row * out_spatial;
+        float* out_row = cols + row * ld;
         for (int64_t y = 0; y < oh; ++y) {
           const int64_t iy = y * g.stride + ky - g.padding;
           for (int64_t x = 0; x < ow; ++x) {
@@ -32,15 +32,15 @@ void Im2Col(const Conv2dGeometry& g, const float* img, float* cols) {
   }
 }
 
-void Col2Im(const Conv2dGeometry& g, const float* cols, float* img) {
+void Col2Im(const Conv2dGeometry& g, const float* cols, int64_t ld,
+            float* img) {
   const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t out_spatial = oh * ow;
   int64_t row = 0;
   for (int64_t c = 0; c < g.in_channels; ++c) {
     float* channel = img + c * g.in_h * g.in_w;
     for (int64_t ky = 0; ky < g.kernel; ++ky) {
       for (int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        const float* in_row = cols + row * out_spatial;
+        const float* in_row = cols + row * ld;
         for (int64_t y = 0; y < oh; ++y) {
           const int64_t iy = y * g.stride + ky - g.padding;
           if (iy < 0 || iy >= g.in_h) continue;
@@ -53,6 +53,14 @@ void Col2Im(const Conv2dGeometry& g, const float* cols, float* img) {
       }
     }
   }
+}
+
+void Im2Col(const Conv2dGeometry& g, const float* img, float* cols) {
+  Im2Col(g, img, cols, g.out_h() * g.out_w());
+}
+
+void Col2Im(const Conv2dGeometry& g, const float* cols, float* img) {
+  Col2Im(g, cols, g.out_h() * g.out_w(), img);
 }
 
 }  // namespace ops

@@ -23,13 +23,22 @@ struct Conv2dGeometry {
 };
 
 /// Unfolds one image `img` (rank-3 view [C, H, W] given as pointer into a
-/// NCHW tensor) into `cols` of shape [patch_size, out_h*out_w]
-/// (column-major patches), so that conv = W_matrix * cols.
+/// NCHW tensor) into the first out_h*out_w columns of `cols`, a
+/// [patch_size, ld] row-major matrix (column-major patches), so that
+/// conv = W_matrix * cols. Columns past out_h*out_w are left untouched,
+/// which lets a caller lay several images side by side in one matrix by
+/// offsetting `cols` by i*out_h*out_w and passing ld = images*out_h*out_w.
+void Im2Col(const Conv2dGeometry& g, const float* img, float* cols,
+            int64_t ld);
+/// Im2Col into a contiguous [patch_size, out_h*out_w] matrix.
 void Im2Col(const Conv2dGeometry& g, const float* img, float* cols);
 
-/// Transpose of Im2Col: accumulates columns back into the (zeroed by
-/// caller) image gradient. Used in conv backward and transposed-conv
-/// forward.
+/// Transpose of Im2Col: accumulates the first out_h*out_w columns of the
+/// [patch_size, ld] matrix `cols` back into the (zeroed by caller) image
+/// gradient. Used in conv backward and transposed-conv forward.
+void Col2Im(const Conv2dGeometry& g, const float* cols, int64_t ld,
+            float* img);
+/// Col2Im from a contiguous [patch_size, out_h*out_w] matrix.
 void Col2Im(const Conv2dGeometry& g, const float* cols, float* img);
 
 }  // namespace ops

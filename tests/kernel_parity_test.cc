@@ -507,6 +507,37 @@ TEST_F(BackendParityTest, Im2ColCol2ImExactAllBackends) {
                                       << " k=" << s.kernel
                                       << " pad=" << s.padding);
     }
+
+    // The same patches inside a wider [patch, ld] matrix at a nonzero
+    // column offset, as a conv chunk lays its images side by side: the
+    // written slots equal the contiguous result, the gaps keep their
+    // sentinel, and Col2Im reads back only the image's own columns.
+    const int64_t spatial = g.out_h() * g.out_w();
+    const int64_t ld = 2 * spatial + 3, offset = spatial + 1;
+    const float kSentinel = -7.0f;
+    std::vector<float> wide(static_cast<size_t>(g.patch_size() * ld),
+                            kSentinel);
+    ops::Im2Col(g, img.data(), wide.data() + offset, ld);
+    std::vector<float> slots, gaps;
+    for (int64_t r = 0; r < g.patch_size(); ++r) {
+      for (int64_t col = 0; col < ld; ++col) {
+        const float v = wide[static_cast<size_t>(r * ld + col)];
+        (col >= offset && col < offset + spatial ? slots : gaps).push_back(v);
+      }
+    }
+    EXPECT_BITWISE_EQ(cols_ref, slots, "strided im2col stride=" << s.stride);
+    EXPECT_BITWISE_EQ(
+        std::vector<float>(gaps.size(), kSentinel), gaps,
+        "strided im2col gap stride=" << s.stride);
+    std::vector<float> wide_in(wide.size(), 1e30f);
+    for (int64_t r = 0; r < g.patch_size(); ++r) {
+      std::copy(cols_in.begin() + r * spatial,
+                cols_in.begin() + (r + 1) * spatial,
+                wide_in.begin() + r * ld + offset);
+    }
+    auto img_wide = img0;
+    ops::Col2Im(g, wide_in.data() + offset, ld, img_wide.data());
+    EXPECT_BITWISE_EQ(img_ref, img_wide, "strided col2im stride=" << s.stride);
   }
 }
 
